@@ -25,6 +25,7 @@ import numpy as np
 from . import nn
 from .errors import EmptyMatrix, LengthMismatch, TooFewPodcasts
 from .model import CLASS_INITIALS, CLASS_NAMES, MultiBranchModel, StutterClass
+from .training import infer
 
 N_CLASSES = len(CLASS_NAMES)
 
@@ -146,30 +147,11 @@ def metrics(m: np.ndarray) -> MetricsReport:
     )
 
 
-def _batches(n, size):
-    return [range(s, min(s + size, n)) for s in range(0, n, size)]
-
-
 def evaluate_model(model: MultiBranchModel, records, batch_size=64) -> MetricsReport:
     """Two-branch predictions over records -> full report including S2CA."""
-    from .training import make_batch
-
-    truth, preds = [], []
-    s2_hits = s2_total = 0
-    for rng_idx in _batches(len(records), batch_size):
-        idx = list(rng_idx)
-        x, y, _ = make_batch(records, idx, dtype=model.dtype)
-        _, lf, ld, _ = model.forward(x)
-        fluent_says = np.argmax(lf, axis=1)
-        pred = np.where(fluent_says == 0, 0, np.argmax(ld, axis=1) + 1)
-        truth.extend(int(v) for v in y)
-        preds.extend(int(v) for v in pred)
-        dis = y != 0
-        s2_hits += int((fluent_says[dis] == 1).sum())
-        s2_total += int(dis.sum())
-    report = metrics(confusion(truth, preds))
-    if s2_total:
-        report.stutter_two_class_accuracy = s2_hits / s2_total
+    out = infer(model, records, batch_size)
+    report = metrics(confusion(out.labels, out.predictions))
+    report.stutter_two_class_accuracy = out.stutter_two_class_accuracy
     return report
 
 
@@ -179,27 +161,17 @@ def export_embeddings(model: MultiBranchModel, records, path, batch_size=64) -> 
     Values are printed with 9 significant digits, which round-trips float32
     exactly; rewriting the same records yields a byte-identical file.
     """
-    from .training import make_batch
-
-    dim = model.arch.embedding_dim
-    rows_out = []
-    emb_all = np.zeros((len(records), dim), dtype=np.float32)
-    for rng_idx in _batches(len(records), batch_size):
-        idx = list(rng_idx)
-        x, _, _ = make_batch(records, idx, dtype=model.dtype)
-        z = model.encode(x)
-        for j, i in enumerate(idx):
-            emb_all[i] = z[j]
-            rec = records[i]
-            rows_out.append(
-                [rec.clip_id, rec.podcast_id, CLASS_NAMES[rec.label]]
-                + [format(float(v), ".9g") for v in z[j]]
-            )
+    emb = infer(model, records, batch_size).embeddings
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["clip_id", "podcast_id", "class"] + [f"e{k}" for k in range(dim)])
-        writer.writerows(rows_out)
-    return emb_all
+        writer.writerow(["clip_id", "podcast_id", "class"]
+                        + [f"e{k}" for k in range(emb.shape[1])])
+        writer.writerows(
+            [rec.clip_id, rec.podcast_id, CLASS_NAMES[rec.label]]
+            + [format(float(v), ".9g") for v in z]
+            for rec, z in zip(records, emb)
+        )
+    return emb.astype(np.float32, copy=False)
 
 
 def read_embeddings(path):

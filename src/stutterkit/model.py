@@ -314,9 +314,7 @@ class MultiBranchModel:
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Two-branch rule on a batch, eval mode; returns class indices."""
         _, lf, ld, _ = self.forward(x)
-        fluent_says_fluent = np.argmax(lf, axis=1) == 0
-        disfluent_pick = np.argmax(ld, axis=1) + 1
-        return np.where(fluent_says_fluent, StutterClass.FLUENT.value, disfluent_pick)
+        return two_branch(lf, ld)
 
     def predict(self, features: np.ndarray) -> StutterClass:
         """Classify one feature matrix (n_mfcc, frames)."""
@@ -343,6 +341,13 @@ class MultiBranchModel:
             if a.shape != snap[name].shape:
                 raise ShapeMismatch(f"{name}: shape {snap[name].shape} vs {a.shape}")
             a[...] = snap[name]
+
+
+def two_branch(fluent_logits: np.ndarray, disfluent_logits: np.ndarray) -> np.ndarray:
+    """The two-branch rule on (batch, 2) and (batch, 4) logits -> class indices."""
+    fluent_says_fluent = np.argmax(fluent_logits, axis=1) == 0
+    disfluent_pick = np.argmax(disfluent_logits, axis=1) + 1
+    return np.where(fluent_says_fluent, StutterClass.FLUENT.value, disfluent_pick)
 
 
 def build_model(arch: ArchConfig, seed: int, dtype=np.float32) -> MultiBranchModel:

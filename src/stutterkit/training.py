@@ -28,6 +28,10 @@ stutter_only and the stutter loss minus lambda * l_speaker in joint_grl,
 so the adversarial schedule restarts its moments as stutter_only and
 joint_grl begin; a lambda that changes within a stage is no restart.
 baseline and mtl have one stage and never restart.
+
+Each epoch's valid_stutter_loss and valid_acc come from one eval-mode pass
+over the validation set (infer), train_acc from one over the training set;
+the epoch-log CSV format is unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from . import nn
 from .data import features_of
 from .errors import EmptyBatch, InvalidConfig, NumericError
-from .model import MultiBranchModel, set_trainable
+from .model import MultiBranchModel, set_trainable, two_branch
 
 log = logging.getLogger(__name__)
 
@@ -277,36 +281,72 @@ def _batch_ranges(n, batch_size):
     return [range(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
 
 
+@dataclass(frozen=True)
+class Inference:
+    """Eval-mode outputs of one pass over a record list, in record order."""
+
+    labels: np.ndarray
+    predictions: np.ndarray  # the two-branch rule's class indices
+    embeddings: np.ndarray  # pooled, in the model's dtype
+    fluent_logits: np.ndarray
+    disfluent_logits: np.ndarray
+    batches: list  # the index ranges make_batch stacked (and cropped) together
+
+    @property
+    def accuracy(self) -> float:
+        return int((self.predictions == self.labels).sum()) / len(self.labels)
+
+    @property
+    def stutter_loss(self) -> float:
+        """l_fluent + l_disfluent from float32 sums per batch, added in batch order.
+
+        One sum over all clips rounds differently, and early stopping compares
+        this value against min_delta.
+        """
+        y = self.labels
+        dis = y != 0
+        losses_f = nn.softmax_cross_entropy(self.fluent_logits, dis.astype(np.intp))[0]
+        losses_d = np.zeros_like(losses_f)
+        losses_d[dis] = nn.softmax_cross_entropy(self.disfluent_logits[dis], y[dis] - 1)[0]
+        sum_f = sum_d = 0.0
+        for b in self.batches:
+            s = slice(b.start, b.stop)
+            sum_f += float(losses_f[s].sum())
+            sum_d += float(losses_d[s][dis[s]].sum())
+        n_dis = int(dis.sum())
+        return sum_f / len(y) + (sum_d / n_dis if n_dis else 0.0)
+
+    @property
+    def stutter_two_class_accuracy(self) -> float | None:
+        """S2CA: the fluent head's hit rate on truly disfluent clips; None without any."""
+        dis = self.labels != 0
+        hits = int((np.argmax(self.fluent_logits[dis], axis=1) == 1).sum())
+        return hits / int(dis.sum()) if dis.any() else None
+
+
+def infer(model: MultiBranchModel, records, batch_size=64) -> Inference:
+    """One eval-mode forward pass over records, batch_size clips per make_batch."""
+    if not records:
+        raise EmptyBatch("no records to evaluate")
+    batches = _batch_ranges(len(records), batch_size)
+    outputs = []
+    for b in batches:
+        x, y, _ = make_batch(records, b, dtype=model.dtype)
+        z, lf, ld, _ = model.forward(x)
+        outputs.append((y, z, lf, ld))
+    y, z, lf, ld = (np.concatenate(parts) for parts in zip(*outputs))
+    return Inference(labels=y, predictions=two_branch(lf, ld), embeddings=z,
+                     fluent_logits=lf, disfluent_logits=ld, batches=batches)
+
+
 def dataset_stutter_loss(model: MultiBranchModel, records, batch_size=64) -> float:
     """Eval-mode l_fluent + l_disfluent over a whole record list."""
-    sum_f = sum_d = 0.0
-    n = n_dis = 0
-    for rng_idx in _batch_ranges(len(records), batch_size):
-        idx = list(rng_idx)
-        x, y, _ = make_batch(records, idx, dtype=model.dtype)
-        _, lf, ld, _ = model.forward(x)
-        y_fluent = (y != 0).astype(np.intp)
-        losses_f, _ = nn.softmax_cross_entropy(lf, y_fluent)
-        sum_f += float(losses_f.sum())
-        n += len(idx)
-        dis = np.flatnonzero(y != 0)
-        if dis.size:
-            losses_d, _ = nn.softmax_cross_entropy(ld[dis], y[dis] - 1)
-            sum_d += float(losses_d.sum())
-            n_dis += int(dis.size)
-    if n == 0:
-        raise EmptyBatch("no records to evaluate")
-    return sum_f / n + (sum_d / n_dis if n_dis else 0.0)
+    return infer(model, records, batch_size).stutter_loss
 
 
 def dataset_accuracy(model: MultiBranchModel, records, batch_size=64) -> float:
     """Five-class accuracy of the two-branch rule over a record list."""
-    hits = 0
-    for rng_idx in _batch_ranges(len(records), batch_size):
-        idx = list(rng_idx)
-        x, y, _ = make_batch(records, idx, dtype=model.dtype)
-        hits += int((model.predict_batch(x) == y).sum())
-    return hits / len(records) if records else float("nan")
+    return infer(model, records, batch_size).accuracy
 
 
 @dataclass
@@ -446,12 +486,10 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                     f"l_fluent={l_fluent} l_disfluent={l_disfluent} l_speaker={l_speaker}"
                 )
 
+            valid_stutter = valid_acc = float("nan")
             if valid_records:
-                valid_stutter = dataset_stutter_loss(model, valid_records, cfg.batch_size)
-                valid_acc = dataset_accuracy(model, valid_records, cfg.batch_size)
-            else:
-                valid_stutter = float("nan")
-                valid_acc = float("nan")
+                valid = infer(model, valid_records, cfg.batch_size)
+                valid_stutter, valid_acc = valid.stutter_loss, valid.accuracy
             rec = EpochRecord(
                 epoch=epoch,
                 stage=stage,
@@ -461,7 +499,7 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 l_speaker=l_speaker,
                 l_total=loss_total(stage, lam, l_fluent, l_disfluent, l_speaker),
                 valid_stutter_loss=valid_stutter,
-                train_acc=dataset_accuracy(model, train_records, cfg.batch_size),
+                train_acc=infer(model, train_records, cfg.batch_size).accuracy,
                 valid_acc=valid_acc,
             )
             result.history.append(rec)

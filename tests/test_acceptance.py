@@ -33,6 +33,7 @@ from stutterkit.training import (
     TrainConfig,
     compute_losses,
     dataset_accuracy,
+    infer,
     loss_total,
     make_batch,
     speaker_index_map,
@@ -51,15 +52,6 @@ def verdict(n, ok, detail):
 def sine(freq, seconds=0.5, rate=SR):
     t = np.arange(int(seconds * rate)) / rate
     return AudioClip(0.5 * np.sin(2.0 * np.pi * freq * t), rate)
-
-
-def encode_all(model, records, batch=64):
-    embs = []
-    for s in range(0, len(records), batch):
-        idx = list(range(s, min(s + batch, len(records))))
-        x, _, _ = make_batch(records, idx, dtype=model.dtype)
-        embs.append(model.encode(x))
-    return np.concatenate(embs)
 
 
 # -- 1. gradient suite ---------------------------------------------------------
@@ -242,7 +234,7 @@ def test_criterion_5_invariance_effect():
             model = build_model(arch, seed=seed)
             result = train(model, split.train, split.valid, config(objective, seed))
             vaccs.append(dataset_accuracy(model, split.valid))
-            probes.append(speaker_probe(encode_all(model, records),
+            probes.append(speaker_probe(infer(model, records).embeddings,
                                         podcasts, seed=0).accuracy)
             print(f"{objective:<9}  {seed:>4}  {probes[-1]:>9.3f}  {vaccs[-1]:>9.3f}  "
                   f"{result.best_epoch!s:>10}")

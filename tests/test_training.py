@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_arch
-from stutterkit import nn
+from stutterkit import nn, training
 from stutterkit.data import SyntheticConfig, generate_synthetic
 from stutterkit.errors import EmptyBatch, InvalidConfig, NumericError
+from stutterkit.evaluate import confusion, evaluate_model, export_embeddings, read_embeddings
 from stutterkit.model import build_model
 from stutterkit.training import (
     LOG_COLUMNS,
@@ -19,6 +20,7 @@ from stutterkit.training import (
     dataset_stutter_loss,
     descended_loss,
     early_stop_active,
+    infer,
     lambda_at,
     loss_total,
     make_batch,
@@ -254,6 +256,91 @@ class TestDatasetMetrics:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def mixed_length_corpus():
+    """60 clips cropped to 9..16 frames, fluent clips first (see generate_synthetic)."""
+    records = generate_synthetic(SyntheticConfig(
+        n_podcasts=3, clips_per_class=12, frames=16, n_mfcc=5, sigma=0.5, seed=0))
+    lengths = np.random.default_rng(0).integers(9, 17, size=len(records))
+    for rec, t in zip(records, lengths):
+        rec.features = rec.features[:, :t]
+    return records
+
+
+def reference_stutter_loss(model, records, batch_size):
+    """Per-batch float32 sums added in batch order: the reduction to reproduce bit for bit."""
+    sum_f = sum_d = 0.0
+    n = n_dis = 0
+    for s in range(0, len(records), batch_size):
+        idx = list(range(s, min(s + batch_size, len(records))))
+        x, y, _ = make_batch(records, idx, dtype=model.dtype)
+        _, lf, ld, _ = model.forward(x)
+        losses_f, _ = nn.softmax_cross_entropy(lf, (y != 0).astype(np.intp))
+        sum_f += float(losses_f.sum())
+        n += len(idx)
+        dis = np.flatnonzero(y != 0)
+        if dis.size:
+            losses_d, _ = nn.softmax_cross_entropy(ld[dis], y[dis] - 1)
+            sum_d += float(losses_d.sum())
+            n_dis += int(dis.size)
+    return sum_f / n + (sum_d / n_dis if n_dis else 0.0)
+
+
+EMPTY_ENTRY_POINTS = {
+    "dataset_stutter_loss": lambda model, path: dataset_stutter_loss(model, []),
+    "dataset_accuracy": lambda model, path: dataset_accuracy(model, []),
+    "evaluate_model": lambda model, path: evaluate_model(model, []),
+    "export_embeddings": lambda model, path: export_embeddings(model, [], path),
+}
+
+
+class TestInfer:
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, 64])
+    def test_stutter_loss_is_bit_exact(self, batch_size):
+        records = mixed_length_corpus()
+        model = build_model(make_tiny_arch(), seed=1)
+        got = dataset_stutter_loss(model, records, batch_size)
+        assert got == reference_stutter_loss(model, records, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_per_clip_outputs_ignore_batching_and_order(self, batch_size):
+        records = tiny_corpus()  # every clip has 12 frames, so nothing is cropped
+        model = build_model(make_tiny_arch(), seed=5)
+        ref = infer(model, records)
+        assert len(ref.batches) == 1
+        assert list(ref.labels) == [int(r.label) for r in records]
+        forward = infer(model, records, batch_size)
+        backward = infer(model, records[::-1], batch_size)
+        for out, order in ((forward, slice(None)), (backward, slice(None, None, -1))):
+            assert np.array_equal(out.labels[order], ref.labels)
+            assert np.array_equal(out.embeddings[order], ref.embeddings)
+            assert np.array_equal(out.predictions[order], ref.predictions)
+            # The head GEMMs round by the batch's row count (one row takes the
+            # GEMV path), so logits agree to float32 rounding, not bitwise.
+            for name in ("fluent_logits", "disfluent_logits"):
+                np.testing.assert_allclose(getattr(out, name)[order], getattr(ref, name),
+                                           rtol=1e-6, atol=1e-6)
+
+    def test_entry_points_agree_with_one_pass(self, tmp_path):
+        records = mixed_length_corpus()
+        model = build_model(make_tiny_arch(), seed=3)
+        out = infer(model, records, batch_size=7)
+        assert dataset_stutter_loss(model, records, 7) == out.stutter_loss
+        assert dataset_accuracy(model, records, 7) == out.accuracy
+        report = evaluate_model(model, records, 7)
+        assert np.array_equal(report.confusion, confusion(out.labels, out.predictions))
+        assert report.stutter_two_class_accuracy == out.stutter_two_class_accuracy
+        path = tmp_path / "emb.csv"
+        assert np.array_equal(export_embeddings(model, records, path, 7), out.embeddings)
+        assert np.array_equal(read_embeddings(path)[0], out.embeddings)
+
+    @pytest.mark.parametrize("entry", sorted(EMPTY_ENTRY_POINTS))
+    def test_empty_record_list_raises_empty_batch(self, entry, tmp_path):
+        path = tmp_path / "emb.csv"
+        with pytest.raises(EmptyBatch):
+            EMPTY_ENTRY_POINTS[entry](build_model(make_tiny_arch(), seed=0), path)
+        assert not path.exists()
+
+
 class TestTrainLoop:
     def split(self, records):
         valid = records[::5]
@@ -276,6 +363,24 @@ class TestTrainLoop:
         assert outputs[0][0] == outputs[1][0]
         for name, arr in outputs[0][1].items():
             assert np.array_equal(arr, outputs[1][1][name]), name
+
+    def test_valid_set_forwarded_once_per_epoch(self, monkeypatch):
+        records = tiny_corpus()
+        train_recs, valid = self.split(records)
+        clips = {"train": 0, "valid": 0}
+        make = training.make_batch
+
+        def counting(records, indices, *args, **kwargs):
+            clips["valid" if records is valid else "train"] += len(indices)
+            return make(records, indices, *args, **kwargs)
+
+        monkeypatch.setattr(training, "make_batch", counting)
+        cfg = TrainConfig(objective="mtl", max_epochs=2, batch_size=8, seed=0)
+        result = train(build_model(make_tiny_arch(), seed=0), train_recs, valid, cfg)
+        assert len(result.history) == 2
+        assert clips["valid"] == 2 * len(valid)
+        # per epoch: the step batches, then one train_acc pass
+        assert clips["train"] == 2 * 2 * len(train_recs)
 
     def test_log_format(self, tmp_path):
         records = tiny_corpus()
