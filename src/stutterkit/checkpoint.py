@@ -18,6 +18,7 @@ without touching the payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -88,20 +89,37 @@ def inspect_checkpoint(path) -> dict:
         return _read_header(fh, path)
 
 
+def _tensor_entry(t, payload_len, path) -> tuple[str, list[int], int, int]:
+    """One tensor directory entry as (name, shape, offset, nbytes), or CorruptCheckpoint."""
+    try:
+        name, shape, offset, nbytes = t["name"], t["shape"], t["offset"], t["nbytes"]
+    except (KeyError, TypeError) as exc:
+        raise CorruptCheckpoint(f"{path}: malformed tensor entry {t!r} ({exc!r})") from exc
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(type(i) is int and i >= 0 for i in [offset, nbytes, *shape])):
+        raise CorruptCheckpoint(f"{path}: malformed tensor entry {t!r}")
+    if nbytes != 4 * math.prod(shape):
+        raise CorruptCheckpoint(f"{path}: tensor {name!r} of shape {shape} has {nbytes} bytes")
+    if offset + nbytes > payload_len:
+        raise CorruptCheckpoint(f"{path}: tensor {name!r} ends past the payload")
+    return name, shape, offset, nbytes
+
+
 def load_checkpoint(path) -> tuple[MultiBranchModel, dict]:
     """Rebuild the model a checkpoint describes and restore its exact state."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         payload = fh.read()
-    total = sum(t["nbytes"] for t in header["tensors"])
+    entries = [_tensor_entry(t, len(payload), path) for t in header["tensors"]]
+    total = sum(nbytes for _, _, _, nbytes in entries)
     if len(payload) != total:
         raise CorruptCheckpoint(
             f"{path}: payload is {len(payload)} bytes, directory says {total}"
         )
     snap = {}
-    for t in header["tensors"]:
-        raw = payload[t["offset"] : t["offset"] + t["nbytes"]]
-        snap[t["name"]] = np.frombuffer(raw, dtype="<f4").reshape(t["shape"]).copy()
+    for name, shape, offset, nbytes in entries:
+        raw = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset)
+        snap[name] = raw.reshape(shape).copy()
     try:
         arch = ArchConfig.from_dict(header["arch"])
         model = build_model(arch, seed=0)

@@ -65,11 +65,18 @@ class TdnnLayer(Layer):
     out[b, c, t] = bias[c] + sum_k sum_c' W[c, c', k] * x[b, c', t + off_k - off_min]
 
     Output length is T - span where span = max(offsets) - min(offsets).
+
+    Each contraction is one BLAS GEMM over x unfolded offset-major: row block k of U
+    is x shifted by off_k - off_min, matching W viewed as (C_out, K * C_in). Forward
+    is one GEMM per clip on its own (K * C_in, T_out) U (U is x when K = 1), so a
+    clip's output never depends on its batch; dW is one GEMM by U as (K * C_in, B * T_out);
+    dX scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
     """
 
     def __init__(self, in_channels, out_channels, offsets, rng, dtype=np.float32):
         self.offsets = tuple(sorted(int(o) for o in offsets))
-        self.span = self.offsets[-1] - self.offsets[0]
+        self.shifts = [off - self.offsets[0] for off in self.offsets]
+        self.span = self.shifts[-1]
         self.in_channels = in_channels
         self.out_channels = out_channels
         fan_in = in_channels * len(self.offsets)
@@ -84,38 +91,31 @@ class TdnnLayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeMismatch(
-                f"expected (batch, {self.in_channels}, frames), got {x.shape}"
-            )
+            raise ShapeMismatch(f"expected (batch, {self.in_channels}, frames), got {x.shape}")
         t_in = x.shape[2]
         if t_in <= self.span:
             raise InputTooShort(
                 f"need more than {self.span} frames for offsets {self.offsets}, got {t_in}"
             )
         t_out = t_in - self.span
-        w = self.weight.value
-        out = np.broadcast_to(
-            self.bias.value[None, :, None], (x.shape[0], self.out_channels, t_out)
-        ).copy()
-        base = self.offsets[0]
-        for k, off in enumerate(self.offsets):
-            s = off - base
-            out += np.matmul(w[:, :, k], x[:, :, s : s + t_out])
+        u = x if len(self.shifts) == 1 else np.concatenate(
+            [x[:, :, s : s + t_out] for s in self.shifts], axis=1)
+        out = np.matmul(self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1), u)
+        out += self.bias.value[:, None]
         self._cache = x
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._cache
-        t_out = dy.shape[2]
-        w = self.weight.value
-        dx = np.zeros_like(x)
-        base = self.offsets[0]
-        for k, off in enumerate(self.offsets):
-            s = off - base
-            xs = x[:, :, s : s + t_out]
-            self.weight.grad[:, :, k] += np.einsum("bot,bct->oc", dy, xs)
-            dx[:, :, s : s + t_out] += np.matmul(w[:, :, k].T, dy)
+        b, c_out, t_out = dy.shape
+        u = np.concatenate([x[:, :, s : s + t_out].transpose(1, 0, 2) for s in self.shifts])
+        dw = dy.transpose(1, 0, 2).reshape(c_out, b * t_out) @ u.reshape(len(u), -1).T
+        del u
+        self.weight.grad += dw.reshape(c_out, len(self.shifts), -1).transpose(0, 2, 1)
         self.bias.grad += dy.sum(axis=(0, 2))
+        dx = np.zeros_like(x)
+        for k, s in enumerate(self.shifts):
+            dx[:, :, s : s + t_out] += np.matmul(self.weight.value[:, :, k].T, dy)
         return dx
 
 

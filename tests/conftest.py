@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,27 @@ def f64_twin(model32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _odd_nbytes(tensors):
+    # keeps the directory's byte total, so only the per-entry check can catch it
+    tensors[0]["nbytes"] -= 2
+    tensors[1]["nbytes"] += 2
+
+
+MALFORMED_DIRECTORIES = {
+    "shape_disagrees_with_nbytes": lambda tensors: tensors[0]["shape"].append(2),
+    "missing_offset": lambda tensors: tensors[0].pop("offset"),
+    "nbytes_not_multiple_of_4": _odd_nbytes,
+}
+
+
+def rewrite_tensor_directory(path, edit):
+    """Apply edit(tensors) to a saved checkpoint's tensor directory, keeping the payload."""
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack("<4sII", raw[:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header["tensors"])
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(struct.pack("<4sII", magic, version, len(blob)) + blob
+                     + raw[12 + header_len :])

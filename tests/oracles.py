@@ -112,3 +112,24 @@ def ridge_onevsrest_accuracy(x_train, y_train, x_test, y_test, n_classes, lam=1e
     w = np.linalg.solve(a, xt.T @ targets)
     pred = np.argmax(xs @ w, axis=1)
     return float((pred == y_test).mean())
+
+
+def tdnn_reference(x, weight, bias, offsets, dy):
+    """TDNN forward and gradients by the per-offset loop, in float64.
+
+    weight[:, :, k] is the tap of the k-th smallest offset. Returns
+    (out, d_weight, d_bias, d_x) for the output gradient dy.
+    """
+    x, w, dy = (np.asarray(a, dtype=np.float64) for a in (x, weight, dy))
+    shifts = [off - min(offsets) for off in sorted(offsets)]
+    t_out = x.shape[2] - shifts[-1]
+    out = np.broadcast_to(np.asarray(bias, np.float64)[None, :, None],
+                          (x.shape[0], w.shape[0], t_out)).copy()
+    d_w = np.zeros_like(w)
+    d_x = np.zeros_like(x)
+    for k, s in enumerate(shifts):
+        xs = x[:, :, s : s + t_out]
+        out += np.einsum("oc,bct->bot", w[:, :, k], xs)
+        d_w[:, :, k] = np.einsum("bot,bct->oc", dy, xs)
+        d_x[:, :, s : s + t_out] += np.einsum("oc,bot->bct", w[:, :, k], dy)
+    return out, d_w, dy.sum(axis=(0, 2)), d_x

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_tiny_arch
+from conftest import MALFORMED_DIRECTORIES, make_tiny_arch, rewrite_tensor_directory
 from stutterkit.checkpoint import (
     MAGIC,
     VERSION,
@@ -113,6 +113,20 @@ class TestCorruption:
         assert raw.count(b'"n_podcasts": 3') == 1
         path.write_bytes(raw.replace(b'"n_podcasts": 3', b'"n_podcasts": 4'))
         with pytest.raises(CorruptCheckpoint, match="does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
+    def test_malformed_tensor_directory(self, trained, case):
+        _, path = trained
+        rewrite_tensor_directory(path, MALFORMED_DIRECTORIES[case])
+        with pytest.raises(CorruptCheckpoint, match="tensor entry|tensor '"):
+            load_checkpoint(path)
+
+    def test_tensor_past_payload_end(self, trained):
+        _, path = trained
+        rewrite_tensor_directory(path, lambda tensors: tensors[-1].update(
+            offset=tensors[-1]["offset"] + 4))
+        with pytest.raises(CorruptCheckpoint, match="past the payload"):
             load_checkpoint(path)
 
     def test_magic_matches_format_constant(self, trained):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from conftest import MALFORMED_DIRECTORIES, rewrite_tensor_directory
 from stutterkit.cli import CONFIG_KEYS, RunConfig, main
 from stutterkit.data import StutterClass, load_manifest
 from stutterkit.errors import ConfigError
@@ -251,6 +252,16 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
                    "--manifest", str(corpus / "manifest.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
+    def test_malformed_checkpoint_directory(self, trained, corpus, tmp_path, capsys, case):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(trained.read_bytes())
+        rewrite_tensor_directory(ckpt, MALFORMED_DIRECTORIES[case])
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--manifest", str(corpus / "manifest.csv")])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training(self, corpus, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import hand_adam_steps
+from oracles import hand_adam_steps, tdnn_reference
 from stutterkit import nn
 from stutterkit.errors import (
     DegenerateBatch,
@@ -53,6 +53,35 @@ class TestTdnn:
         b = nn.TdnnLayer(2, 2, (-2, 0, 2), np.random.default_rng(3))
         x = np.random.default_rng(4).normal(size=(1, 2, 8)).astype(np.float32)
         np.testing.assert_array_equal(a.forward(x), b.forward(x))
+
+    @pytest.mark.parametrize("offsets", [(0,), (-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3),
+                                         (2, -2, 0)])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_matches_per_offset_oracle(self, offsets, batch, dtype, rtol):
+        rng = np.random.default_rng(7)
+        layer = nn.TdnnLayer(6, 9, offsets, rng, dtype=dtype)
+        x = rng.normal(size=(batch, 6, 17)).astype(dtype)
+        out = layer.forward(x)
+        dy = rng.normal(size=out.shape).astype(dtype)
+        dx = layer.backward(dy)
+        want = tdnn_reference(x, layer.weight.value, layer.bias.value, offsets, dy)
+        got = (out, layer.weight.grad, layer.bias.grad, dx)
+        for name, g, w in zip(("out", "weight.grad", "bias.grad", "dx"), got, want):
+            assert g.dtype == dtype and g.shape == w.shape, name
+            # relative to the tensor's scale, so near-zero sums do not need exact cancellation
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=rtol * np.abs(w).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
+    def test_clip_output_ignores_its_batch(self, offsets):
+        rng = np.random.default_rng(11)
+        layer = nn.TdnnLayer(48, 40, offsets, rng)
+        x = rng.normal(size=(7, 48, 60)).astype(np.float32)
+        batched = layer.forward(x)
+        for i in range(len(x)):
+            assert np.array_equal(layer.forward(x[i : i + 1]), batched[i : i + 1]), i
+        assert np.array_equal(layer.forward(x[::-1])[::-1], batched)
 
 
 class TestLinear:
