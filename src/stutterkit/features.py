@@ -14,6 +14,7 @@ Conventions (documented because they are choices, not givens):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -174,6 +175,7 @@ def write_fmat(path, matrix: np.ndarray):
 
 
 def read_fmat(path) -> np.ndarray:
+    """Read a feature matrix; the header's shape must account for the file's exact size."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12:
@@ -181,7 +183,12 @@ def read_fmat(path) -> np.ndarray:
         magic, rows, cols = struct.unpack("<4sII", header)
         if magic != FMAT_MAGIC:
             raise CorruptCheckpoint(f"{path}: bad magic {magic!r}")
-        payload = fh.read(4 * rows * cols)
-        if len(payload) != 4 * rows * cols:
+        nbytes = 4 * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size != 12 + nbytes:
+            raise CorruptCheckpoint(
+                f"{path}: a {rows} x {cols} FMAT file is {12 + nbytes} bytes, this one {size}")
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
             raise CorruptCheckpoint(f"{path}: truncated FMAT payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)

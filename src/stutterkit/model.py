@@ -17,8 +17,10 @@ never consulted. Argmax ties break toward the lower index.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -107,8 +109,8 @@ class ArchConfig:
 
 
 class _EncoderBlock:
-    def __init__(self, c_in, c_out, context, bn_before_relu, rng, dtype):
-        self.tdnn = nn.TdnnLayer(c_in, c_out, context, rng, dtype)
+    def __init__(self, c_in, c_out, context, bn_before_relu, dtype):
+        self.tdnn = nn.TdnnLayer(c_in, c_out, context, dtype=dtype)
         self.relu = nn.Relu()
         self.bn = nn.BatchNorm1d(c_out, dtype=dtype)
         self.bn_first = bn_before_relu
@@ -133,19 +135,19 @@ class _EncoderBlock:
 class _Head:
     """Three fully connected layers; dropout after the first two."""
 
-    def __init__(self, in_dim, hidden, out_dim, dropout, bn_before_relu, rng, dtype):
+    def __init__(self, in_dim, hidden, out_dim, dropout, bn_before_relu, dtype):
         self.fcs = []
         self.bns = []
         self.relus = []
         self.drops = []
         d = in_dim
         for h in hidden:
-            self.fcs.append(nn.Linear(d, h, rng, dtype))
+            self.fcs.append(nn.Linear(d, h, dtype=dtype))
             self.relus.append(nn.Relu())
             self.bns.append(nn.BatchNorm1d(h, dtype=dtype))
             self.drops.append(nn.Dropout(dropout))
             d = h
-        self.out = nn.Linear(d, out_dim, rng, dtype)
+        self.out = nn.Linear(d, out_dim, dtype=dtype)
         self.bn_first = bn_before_relu
 
     def forward(self, z, train, rng):
@@ -182,31 +184,47 @@ class _Head:
 
 
 class MultiBranchModel:
-    """Encoder plus the three branches, with named, partitioned parameters."""
+    """Encoder plus the three branches, with named, partitioned parameters.
+
+    Every Param is a view into one value buffer and one grad buffer, owned
+    by the `arena` Param and laid out in sorted-name order, so each partition is one
+    contiguous slice. Initial values are drawn layer by layer, in
+    _named_layers order, straight into those views.
+    """
 
     def __init__(self, arch: ArchConfig, seed: int, dtype=np.float32):
         arch.validate()
         self.arch = arch
         self.dtype = np.dtype(dtype).type
-        rng = np.random.default_rng(seed)
         self.encoder_blocks = []
         c_in = arch.n_mfcc
         for c_out, context in zip(arch.encoder_channels, arch.contexts):
             self.encoder_blocks.append(
-                _EncoderBlock(c_in, c_out, context, arch.bn_before_relu, rng, dtype)
+                _EncoderBlock(c_in, c_out, context, arch.bn_before_relu, dtype)
             )
             c_in = c_out
         self.pool = nn.StatPool()
         emb = arch.embedding_dim
         self.heads = {
-            "fluent": _Head(emb, arch.head_hidden, 2, arch.dropout, arch.bn_before_relu, rng, dtype),
-            "disfluent": _Head(emb, arch.head_hidden, 4, arch.dropout, arch.bn_before_relu, rng, dtype),
+            "fluent": _Head(emb, arch.head_hidden, 2, arch.dropout, arch.bn_before_relu, dtype),
+            "disfluent": _Head(emb, arch.head_hidden, 4, arch.dropout, arch.bn_before_relu, dtype),
             "speaker": _Head(
-                emb, arch.head_hidden, arch.n_podcasts, arch.dropout, arch.bn_before_relu, rng, dtype
+                emb, arch.head_hidden, arch.n_podcasts, arch.dropout, arch.bn_before_relu, dtype
             ),
         }
         self.grl = nn.GradReverse()
         self._grl_active = False
+
+        named = {
+            f"{prefix}.{pname}": p
+            for prefix, layer in self._named_layers()
+            for pname, p in layer.params().items()
+        }
+        self._params = MappingProxyType(dict(sorted(named.items())))
+        self.arena = nn.arena(self._params.values(), dtype)
+        rng = np.random.default_rng(seed)
+        for _, layer in self._named_layers():
+            layer.init_params(rng)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -218,12 +236,9 @@ class MultiBranchModel:
             for lname, layer in head.layers().items():
                 yield f"{hname}.{lname}", layer
 
-    def named_params(self) -> dict[str, nn.Param]:
-        out = {}
-        for prefix, layer in self._named_layers():
-            for pname, p in layer.params().items():
-                out[f"{prefix}.{pname}"] = p
-        return out
+    def named_params(self) -> Mapping[str, nn.Param]:
+        """Every Param by name, in sorted-name (arena) order; read-only."""
+        return self._params
 
     def named_buffers(self) -> dict[str, np.ndarray]:
         out = {}
@@ -242,8 +257,7 @@ class MultiBranchModel:
         return sizes
 
     def zero_grads(self):
-        for p in self.named_params().values():
-            p.grad[...] = 0.0
+        self.arena.grad.fill(0.0)
 
     # -- forward / backward ---------------------------------------------------
 

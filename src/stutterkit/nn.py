@@ -14,6 +14,7 @@ tensors are (batch, features). Kernels are deterministic pure functions of
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,31 +29,74 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Param:
-    """A learnable tensor and its accumulated gradient."""
+    """A learnable tensor and its accumulated gradient.
+
+    A Param placed by `arena` is a view into the flat value and grad buffers
+    of its `arena` Param, from element `start` on. Mutate value and grad in
+    place: rebinding either detaches it from the buffers its optimizer updates.
+    """
 
     value: np.ndarray
     grad: np.ndarray
+    arena: "Param | None" = field(default=None, repr=False)
+    start: int = 0
 
     @classmethod
     def zeros_like(cls, value: np.ndarray) -> "Param":
         return cls(value=value, grad=np.zeros_like(value))
 
+    @classmethod
+    def empty(cls, shape, dtype) -> "Param":
+        return cls(value=np.empty(shape, dtype=dtype), grad=np.empty(shape, dtype=dtype))
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+
+def arena(params, dtype) -> Param:
+    """Rebind params, in iteration order, to views into one value and one grad buffer.
+
+    Returns the Param that owns both buffers. Nothing is copied: the caller
+    initialises values and grads through the views.
+    """
+    params = list(params)
+    total = sum(p.value.size for p in params)
+    # One allocation for both: rebuilding a model then reuses the pages the
+    # previous one freed, where two made the allocator return them to the OS.
+    both = np.empty((2, total), dtype=dtype)
+    flat = Param(value=both[0], grad=both[1])
+    start = 0
+    for p in params:
+        stop = start + p.value.size
+        p.value = flat.value[start:stop].reshape(p.value.shape)
+        p.grad = flat.grad[start:stop].reshape(p.value.shape)
+        p.arena, p.start = flat, start
+        start = stop
+    return flat
+
+
+def _uniform_init(rng: np.random.Generator, p: Param, fan_in: int) -> None:
+    """Draw p's values uniformly from +-sqrt(1 / fan_in) and zero its grad."""
     bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    p.value[...] = rng.uniform(-bound, bound, size=p.value.shape)
+    p.grad[...] = 0.0
 
 
 class Layer:
-    """Base: a layer owns named Params and optional non-learnable buffers."""
+    """Base: a layer owns named Params and optional non-learnable buffers.
+
+    Layers built with rng=None hold uninitialised Params until
+    init_params(rng) sets their values and zeroes their grads; that lets an
+    owner place them in an arena first.
+    """
 
     def params(self) -> dict[str, Param]:
         return {}
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        pass
 
     def zero_grad(self):
         for p in self.params().values():
@@ -73,21 +117,25 @@ class TdnnLayer(Layer):
     dX scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
     """
 
-    def __init__(self, in_channels, out_channels, offsets, rng, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, offsets, rng=None, dtype=np.float32):
         self.offsets = tuple(sorted(int(o) for o in offsets))
         self.shifts = [off - self.offsets[0] for off in self.offsets]
         self.span = self.shifts[-1]
         self.in_channels = in_channels
         self.out_channels = out_channels
-        fan_in = in_channels * len(self.offsets)
-        self.weight = Param.zeros_like(
-            _uniform_init(rng, (out_channels, in_channels, len(self.offsets)), fan_in, dtype)
-        )
-        self.bias = Param.zeros_like(_uniform_init(rng, (out_channels,), fan_in, dtype))
+        self.weight = Param.empty((out_channels, in_channels, len(self.offsets)), dtype)
+        self.bias = Param.empty((out_channels,), dtype)
         self._cache = None
+        if rng is not None:
+            self.init_params(rng)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
+
+    def init_params(self, rng):
+        fan_in = self.in_channels * len(self.offsets)
+        _uniform_init(rng, self.weight, fan_in)
+        _uniform_init(rng, self.bias, fan_in)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -122,17 +170,21 @@ class TdnnLayer(Layer):
 class Linear(Layer):
     """Affine map y = x W^T + b on (batch, features)."""
 
-    def __init__(self, in_features, out_features, rng, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Param.zeros_like(
-            _uniform_init(rng, (out_features, in_features), in_features, dtype)
-        )
-        self.bias = Param.zeros_like(_uniform_init(rng, (out_features,), in_features, dtype))
+        self.weight = Param.empty((out_features, in_features), dtype)
+        self.bias = Param.empty((out_features,), dtype)
         self._cache = None
+        if rng is not None:
+            self.init_params(rng)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
+
+    def init_params(self, rng):
+        _uniform_init(rng, self.weight, self.in_features)
+        _uniform_init(rng, self.bias, self.in_features)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -165,14 +217,18 @@ class BatchNorm1d(Layer):
     Train mode uses batch statistics (population variance, eps=1e-5) and
     updates running statistics with momentum 0.1; eval mode uses the running
     statistics. Input is (batch, channels) or (batch, channels, frames).
+
+    Each batch statistic is one sum, divided as np.mean divides, so the
+    results are bitwise those of x.mean / x.var and dy.mean.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Param.zeros_like(np.ones(channels, dtype=dtype))
-        self.beta = Param.zeros_like(np.zeros(channels, dtype=dtype))
+        self.gamma = Param.empty((channels,), dtype)
+        self.beta = Param.empty((channels,), dtype)
+        self.init_params()
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self._cache = None
@@ -183,6 +239,11 @@ class BatchNorm1d(Layer):
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
+    def init_params(self, rng=None):
+        for p, value in ((self.gamma, 1.0), (self.beta, 0.0)):
+            p.value[...] = value
+            p.grad[...] = 0.0
+
     def _shaped(self, v, ndim):
         return v[None, :, None] if ndim == 3 else v[None, :]
 
@@ -191,13 +252,15 @@ class BatchNorm1d(Layer):
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
         axes = (0,) if x.ndim == 2 else (0, 2)
         if train:
-            count = int(np.prod([x.shape[a] for a in axes]))
+            count = x.size // self.channels
             if count < 2:
                 raise DegenerateBatch(
                     f"train-mode batch norm needs >= 2 elements per channel, got {count}"
                 )
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = _mean_of_sum(x.sum(axis=axes, keepdims=True), count)
+            xhat = x - mean
+            var = _mean_of_sum(np.square(xhat).sum(axis=axes), count)
+            mean = mean.reshape(self.channels)
             self.running_mean[...] = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
@@ -205,26 +268,34 @@ class BatchNorm1d(Layer):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             )
         else:
-            mean = self.running_mean
+            xhat = x - self._shaped(self.running_mean, x.ndim)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - self._shaped(mean, x.ndim)) * self._shaped(inv_std, x.ndim)
+        xhat *= self._shaped(inv_std, x.ndim)
         self._cache = (xhat, inv_std, train, axes)
-        return self._shaped(self.gamma.value, x.ndim) * xhat + self._shaped(
-            self.beta.value, x.ndim
-        )
+        out = self._shaped(self.gamma.value, x.ndim) * xhat
+        out += self._shaped(self.beta.value, x.ndim)
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train, axes = self._cache
-        self.gamma.grad += (dy * xhat).sum(axis=axes)
-        self.beta.grad += dy.sum(axis=axes)
+        sum_dy_xhat = (dy * xhat).sum(axis=axes)
+        sum_dy = dy.sum(axis=axes)
+        self.gamma.grad += sum_dy_xhat
+        self.beta.grad += sum_dy
         g = self._shaped(self.gamma.value * inv_std, dy.ndim)
         if not train:
             return dy * g
-        count = int(np.prod([dy.shape[a] for a in axes]))
-        mean_dy = self._shaped(dy.mean(axis=axes), dy.ndim)
-        mean_dy_xhat = self._shaped((dy * xhat).mean(axis=axes), dy.ndim)
-        return g * (dy - mean_dy - xhat * mean_dy_xhat)
+        count = dy.size // self.channels
+        dx = dy - self._shaped(_mean_of_sum(sum_dy, count), dy.ndim)
+        dx -= xhat * self._shaped(_mean_of_sum(sum_dy_xhat, count), dy.ndim)
+        dx *= g
+        return dx
+
+
+def _mean_of_sum(total: np.ndarray, count: int) -> np.ndarray:
+    """total / count in place, rounded as np.mean rounds it: it divides by an intp."""
+    return np.true_divide(total, np.intp(count), out=total, casting="unsafe")
 
 
 class StatPool(Layer):
@@ -333,10 +404,14 @@ def softmax_cross_entropy(logits: np.ndarray, target):
 
 
 class Adam:
-    """Bias-corrected Adam with per-parameter state and step counts.
+    """Bias-corrected Adam (Kingma & Ba 2015) with per-parameter state and step counts.
 
     Only parameters whose names are passed as trainable are touched; anything
-    else keeps its bits, its moments, and its step count.
+    else keeps its bits, its moments, and its step count. Trainable params
+    that sit next to each other in one arena and share a step count form a
+    run, and each run is updated by a few vector ops over its slice of the
+    arena; a param outside any arena is a run of its own. The moments of an
+    arena's params are views into flat buffers laid out like the arena.
     """
 
     def __init__(self, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -345,26 +420,63 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.state: dict[str, dict] = {}
+        self._moments: dict[Param, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, named_params: dict[str, Param], trainable) -> None:
+    def _fresh_state(self, p: Param) -> dict:
+        if p.arena is None:
+            return {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
+        if p.arena not in self._moments:
+            self._moments[p.arena] = (np.zeros_like(p.arena.value), np.zeros_like(p.arena.value))
+        here = slice(p.start, p.start + p.value.size)
+        m, v = (flat[here].reshape(p.value.shape) for flat in self._moments[p.arena])
+        m[...] = 0.0
+        v[...] = 0.0
+        return {"m": m, "v": v, "t": 0}
+
+    def step(self, named_params: Mapping[str, Param], trainable) -> None:
         """Apply one update to every named param for which trainable(name)."""
+        runs = []  # [first param, its state, stop, states]
         for name, p in named_params.items():
             if not trainable(name):
                 continue
             if p.grad.shape != p.value.shape:
                 raise ShapeMismatch(f"{name}: grad shape {p.grad.shape} vs {p.value.shape}")
-            st = self.state.setdefault(
-                name, {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
-            )
-            st["t"] += 1
-            g = p.grad
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * g * g
-            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
-            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
-                p.value.dtype, copy=False
-            )
+            st = self.state.get(name)
+            if st is None:
+                st = self.state[name] = self._fresh_state(p)
+            run = runs[-1] if runs else None
+            if (run is not None and p.arena is not None and p.arena is run[0].arena
+                    and p.start == run[2] and st["t"] == run[1]["t"]):
+                run[2] += p.value.size
+                run[3].append(st)
+            else:
+                runs.append([p, st, p.start + p.value.size, [st]])
+        for p, st, stop, states in runs:
+            t = st["t"] + 1
+            for s in states:
+                s["t"] = t
+            if p.arena is None:
+                self._update(p.value, p.grad, st["m"], st["v"], t)
+            else:
+                here = slice(p.start, stop)
+                m, v = self._moments[p.arena]
+                self._update(p.arena.value[here], p.arena.grad[here], m[here], v[here], t)
+
+    def _update(self, value, g, m, v, t) -> None:
+        """One update in place; each op rounds as the per-parameter expression does."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        gg = (1.0 - self.beta2) * g
+        gg *= g
+        v += gg
+        step = np.divide(m, 1.0 - self.beta1**t, out=gg)
+        step *= self.lr
+        denom = v / (1.0 - self.beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        value -= step
 
     def reset(self, selected) -> None:
         """Forget the moments and step count of every param for which selected(name)."""

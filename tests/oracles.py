@@ -133,3 +133,71 @@ def tdnn_reference(x, weight, bias, offsets, dy):
         d_w[:, :, k] = np.einsum("bot,bct->oc", dy, xs)
         d_x[:, :, s : s + t_out] += np.einsum("oc,bot->bct", w[:, :, k], dy)
     return out, d_w, dy.sum(axis=(0, 2)), d_x
+
+
+class ReferenceAdam:
+    """Adam as one loop over named params, each with its own state dict.
+
+    The optimizer's arithmetic written per parameter, with fresh arrays at
+    every step; nn.Adam must match it bit for bit, runs and arenas and all.
+    """
+
+    def __init__(self, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.state = {}
+
+    def step(self, named_params, trainable):
+        for name, p in named_params.items():
+            if not trainable(name):
+                continue
+            st = self.state.setdefault(
+                name, {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
+            )
+            st["t"] += 1
+            g = p.grad
+            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
+            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * g * g
+            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
+            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
+            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
+                p.value.dtype, copy=False
+            )
+
+    def reset(self, selected):
+        for name in [name for name in self.state if selected(name)]:
+            del self.state[name]
+
+
+def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
+                        eps=1e-5, momentum=0.1):
+    """Batch norm forward and backward by np.mean / np.var, each where it is used.
+
+    running_mean and running_var are updated in place in train mode. Returns
+    (out, d_gamma, d_beta, d_x) for the output gradient dy.
+    """
+    axes = (0,) if x.ndim == 2 else (0, 2)
+
+    def shaped(v):
+        return v[None, :, None] if x.ndim == 3 else v[None, :]
+
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mean
+        running_var[...] = (1 - momentum) * running_var + momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - shaped(mean)) * shaped(inv_std)
+    out = shaped(gamma) * xhat + shaped(beta)
+    d_gamma = (dy * xhat).sum(axis=axes)
+    d_beta = dy.sum(axis=axes)
+    g = shaped(gamma * inv_std)
+    if not train:
+        return out, d_gamma, d_beta, dy * g
+    mean_dy = shaped(dy.mean(axis=axes))
+    mean_dy_xhat = shaped((dy * xhat).mean(axis=axes))
+    return out, d_gamma, d_beta, g * (dy - mean_dy - xhat * mean_dy_xhat)

@@ -1,21 +1,23 @@
 """The stutterkit names the benchmark's traced mode wraps must keep working.
 
 perfbench/instrument.py replaces module attributes by name (make_batch,
-compute_losses, dataset_stutter_loss, dataset_accuracy, and cli's
-evaluate_model, export_embeddings and load_checkpoint) and reads
-make_batch's `records`/`indices` arguments. A rename shows up here
-instead of as a crash of `perfbench/run.py --trace 1`.
+compute_losses, dataset_stutter_loss, dataset_accuracy, nn.Adam.step, and
+cli's evaluate_model, export_embeddings and load_checkpoint), a model's
+layer and model methods (instrument_model), and reads make_batch's
+`records`/`indices` arguments. A rename shows up here instead of as a crash
+of `perfbench/run.py --trace 1`.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_tiny_arch
-from stutterkit import cli, training
+from stutterkit import cli, nn, training
 from stutterkit.checkpoint import save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
-from stutterkit.model import build_model
+from stutterkit.model import PARTITIONS, build_model, set_trainable
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,6 +48,34 @@ def test_instrument_and_restore(bench):
         tracer.restore()
     for name, fn in before.items():
         assert getattr(training, name) is fn, name
+
+
+def test_instrument_model_and_restore(bench):
+    instrument, spans = bench
+    arch = make_tiny_arch()
+    model = build_model(arch, seed=0)
+    step = nn.Adam.step
+    tracer = spans.Tracer(True)
+    try:
+        instrument.instrument_model(tracer, model)
+        instrument.instrument_modules(tracer)
+        x = np.random.default_rng(0).normal(size=(4, arch.n_mfcc, 12)).astype(np.float32)
+        _, lf, ld, ls = model.forward(x, train=frozenset(PARTITIONS), rng=np.random.default_rng(1))
+        model.backward(lf, ld, ls)
+        nn.Adam().step(model.named_params(), set_trainable("EFDS")[1])
+        model.encode(x)
+        model.snapshot()
+    finally:
+        tracer.restore()
+    assert nn.Adam.step is step
+    for method in instrument.MODEL_METHODS:
+        assert method not in vars(model), method
+
+    names = tracer.by_name()
+    for span in [f"model.{method}" for method in instrument.MODEL_METHODS] + [
+            "nn.adam.step", "nn.batchnorm.fwd", "nn.batchnorm.bwd", "nn.statpool.fwd",
+            "nn.linear.bwd", *(f"nn.tdnn.l{i}.{d}" for i in range(1, 6) for d in ("fwd", "bwd"))]:
+        assert names.get(span), span
 
 
 def test_traced_train_and_eval_record_batches(bench, tmp_path):

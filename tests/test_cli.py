@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ class TestExitCodes:
         rewrite_tensor_directory(ckpt, MALFORMED_DIRECTORIES[case])
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--manifest", str(corpus / "manifest.csv")])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:4] + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + raw[12:],
+        lambda raw: raw + bytes(4),
+    ], ids=["oversized_header", "trailing_bytes"])
+    def test_corrupt_feature_file(self, trained, tmp_path, capsys, edit):
+        assert main(["synth", "--out-dir", str(tmp_path)] + SYNTH_ARGS) == 0
+        fmat = sorted(tmp_path.glob("*.fmat"))[0]
+        fmat.write_bytes(edit(fmat.read_bytes()))
+        rc = main(["eval", "--checkpoint", str(trained),
+                   "--manifest", str(tmp_path / "manifest.csv")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
 

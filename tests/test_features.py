@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -181,6 +183,21 @@ class TestFmat:
         write_fmat(path, np.ones((4, 4), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(CorruptCheckpoint):
+            read_fmat(path)
+
+    @pytest.mark.parametrize("rows, cols", [(0xFFFFFFFF, 0xFFFFFFFF), (100_000, 100_000)])
+    def test_header_larger_than_file(self, tmp_path, rows, cols):
+        # the declared size is checked against the file before any payload read
+        path = tmp_path / "x.fmat"
+        path.write_bytes(struct.pack("<4sII", b"FMAT", rows, cols) + bytes(16))
+        with pytest.raises(CorruptCheckpoint, match="this one 28"):
+            read_fmat(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "x.fmat"
+        write_fmat(path, np.ones((2, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CorruptCheckpoint, match="this one 40"):
             read_fmat(path)
 
     def test_rejects_non_matrix(self, tmp_path):

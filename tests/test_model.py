@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stutterkit.checkpoint import load_checkpoint, save_checkpoint
+from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
 from stutterkit.errors import EmptySubset, InputTooShort, InvalidArch, ShapeMismatch
 from conftest import make_tiny_arch
 from stutterkit.model import (
@@ -16,6 +18,7 @@ from stutterkit.model import (
     build_model,
     set_trainable,
 )
+from stutterkit.training import TrainConfig, train
 
 
 class TestArchConfig:
@@ -280,3 +283,44 @@ class TestSnapshots:
         snap["fluent.out.bias"] = np.zeros(7, dtype=np.float32)
         with pytest.raises(ShapeMismatch):
             model.load_snapshot(snap)
+
+
+def assert_params_in_arena(model):
+    """Every Param's value and grad are the arena slices its sorted-name place gives."""
+    start = 0
+    assert list(model.named_params()) == sorted(model.named_params())
+    for name, p in model.named_params().items():
+        stop = start + p.value.size
+        assert p.arena is model.arena and p.start == start, name
+        for view, flat in ((p.value, model.arena.value), (p.grad, model.arena.grad)):
+            assert view.flags.c_contiguous and view.base is flat.base, name
+            assert view.ctypes.data == flat[start:stop].ctypes.data, name
+        start = stop
+    assert start == model.arena.value.size == model.arena.grad.size
+
+
+class TestArena:
+    def test_params_are_views_after_build_load_and_train(self, tiny_arch, tmp_path):
+        model = build_model(tiny_arch, seed=0)
+        assert_params_in_arena(model)
+        assert not model.arena.grad.any()
+        model.load_snapshot(build_model(tiny_arch, seed=1).snapshot())
+        assert_params_in_arena(model)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert_params_in_arena(loaded)
+        records = generate_synthetic(SyntheticConfig(
+            n_podcasts=3, clips_per_class=4, frames=12, n_mfcc=5, seed=0))
+        split = split_within_podcast(records, 0.25, seed=0)
+        for objective in ("baseline", "mtl", "adv"):
+            train(loaded, split.train, split.valid, TrainConfig(
+                objective=objective, max_epochs=4, batch_size=8, stage_bounds=(1, 2, 3)))
+            assert_params_in_arena(loaded)
+
+    def test_zero_grads_zeroes_every_grad(self, tiny_arch):
+        model = build_model(tiny_arch, seed=0)
+        for p in model.named_params().values():
+            p.grad[...] = 1.0
+        model.zero_grads()
+        for name, p in model.named_params().items():
+            assert not p.grad.any(), name

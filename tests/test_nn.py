@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import hand_adam_steps, tdnn_reference
+from oracles import ReferenceAdam, batchnorm_reference, hand_adam_steps, tdnn_reference
 from stutterkit import nn
 from stutterkit.errors import (
     DegenerateBatch,
@@ -11,6 +11,11 @@ from stutterkit.errors import (
     NonDeterministicLoss,
     ShapeMismatch,
 )
+from stutterkit.model import ArchConfig, build_model, set_trainable
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
 
 
 class TestTdnn:
@@ -135,6 +140,29 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 3, 7))
         y = bn.forward(x, train=True)
         np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(32, 16), (32, 16, 20), (3, 5, 2)])
+    def test_matches_reference_bitwise(self, rng, shape, train, dtype):
+        c = shape[1]
+        bn = nn.BatchNorm1d(c, dtype=dtype)
+        bn.gamma.value[...] = rng.normal(1.0, 0.5, size=c)
+        bn.beta.value[...] = rng.normal(size=c)
+        bn.running_mean[...] = rng.normal(size=c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
+        x = rng.normal(3.0, 2.0, size=shape).astype(dtype)
+        dy = rng.normal(size=shape).astype(dtype)
+        ref_mean, ref_var = bn.running_mean.copy(), bn.running_var.copy()
+        out, d_gamma, d_beta, d_x = batchnorm_reference(
+            x, bn.gamma.value, bn.beta.value, ref_mean, ref_var, train, dy)
+
+        assert bits(bn.forward(x, train)) == bits(out)
+        assert bits(bn.running_mean) == bits(ref_mean)
+        assert bits(bn.running_var) == bits(ref_var)
+        assert bits(bn.backward(dy)) == bits(d_x)
+        assert bits(bn.gamma.grad) == bits(d_gamma)
+        assert bits(bn.beta.grad) == bits(d_beta)
 
     def test_degenerate_batch(self):
         bn = nn.BatchNorm1d(2)
@@ -281,6 +309,45 @@ class TestAdam:
         p = nn.Param(value=np.zeros(3), grad=np.zeros(4))
         with pytest.raises(ShapeMismatch):
             nn.Adam().step({"p": p}, lambda name: True)
+
+
+class TestAdamOracle:
+    """The arena update against the per-parameter loop, over adv-like stages."""
+
+    # (trainable partitions, partitions whose moments restart as the stage begins)
+    STAGES = [("ES", ""), ("EFD", "E"), ("EFDS", "E"), ("FD", ""), ("EFDS", "ES")]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_loop_bitwise(self, dtype):
+        arch = ArchConfig(n_podcasts=4, encoder_channels=(32,) * 5, head_hidden=(32, 32))
+        model = build_model(arch, seed=0, dtype=dtype)
+        named = model.named_params()
+        ref_params = {name: nn.Param(value=p.value.copy(), grad=np.empty_like(p.value))
+                      for name, p in named.items()}
+        opt, ref = nn.Adam(lr=3e-3), ReferenceAdam(lr=3e-3)
+        rng = np.random.default_rng(7)
+        for trainable, restart in self.STAGES:
+            _, name_ok = set_trainable(trainable)
+            if restart:
+                _, restarts = set_trainable(restart)
+                opt.reset(restarts)
+                ref.reset(restarts)
+            for _ in range(4):
+                for name, p in named.items():
+                    p.grad[...] = rng.normal(scale=0.1, size=p.grad.shape)
+                    ref_params[name].grad[...] = p.grad
+                opt.step(named, name_ok)
+                ref.step(ref_params, name_ok)
+            assert opt.state.keys() == ref.state.keys()
+            for name, p in named.items():
+                assert bits(p.value) == bits(ref_params[name].value), name
+            for name, st in opt.state.items():
+                want = ref.state[name]
+                assert st["t"] == want["t"], name
+                assert bits(st["m"]) == bits(want["m"]), name
+                assert bits(st["v"]) == bits(want["v"]), name
+        # the final stage left the encoder and speaker head behind the stutter heads
+        assert len({st["t"] for st in opt.state.values()}) == 2
 
 
 class TestFiniteDifferenceHarness:
