@@ -116,10 +116,11 @@ def load_checkpoint(path) -> tuple[MultiBranchModel, dict]:
         raise CorruptCheckpoint(
             f"{path}: payload is {len(payload)} bytes, directory says {total}"
         )
-    snap = {}
-    for name, shape, offset, nbytes in entries:
-        raw = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset)
-        snap[name] = raw.reshape(shape).copy()
+    # Read-only views of the payload: load_snapshot copies them into the model.
+    snap = {
+        name: np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset).reshape(shape)
+        for name, shape, offset, nbytes in entries
+    }
     try:
         arch = ArchConfig.from_dict(header["arch"])
         model = build_model(arch, seed=0)

@@ -64,6 +64,10 @@ class EmptySubset(ConfigError):
     """Empty trainable-partition subset."""
 
 
+class NoPendingForward(StutterKitError):
+    """Backward asked for a head that has no train-mode forward awaiting it."""
+
+
 # data
 class ParseError(DataError):
     """Malformed manifest or annotation row (carries a line number)."""

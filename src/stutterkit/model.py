@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import nn
-from .errors import EmptySubset, InvalidArch, ShapeMismatch
+from .errors import EmptySubset, InvalidArch, NoPendingForward, ShapeMismatch
 
 
 class StutterClass(IntEnum):
@@ -116,17 +116,17 @@ class _EncoderBlock:
         self.bn_first = bn_before_relu
 
     def forward(self, x, train):
-        y = self.tdnn.forward(x)
+        y = self.tdnn.forward(x, cache=train)
         if self.bn_first:
-            return self.relu.forward(self.bn.forward(y, train))
-        return self.bn.forward(self.relu.forward(y), train)
+            return self.relu.forward(self.bn.forward(y, train, cache=train), cache=train)
+        return self.bn.forward(self.relu.forward(y, cache=train), train, cache=train)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self.bn_first:
             dy = self.bn.backward(self.relu.backward(dy))
         else:
             dy = self.relu.backward(self.bn.backward(dy))
-        return self.tdnn.backward(dy)
+        return self.tdnn.backward(dy, input_grad)
 
     def layers(self):
         return {"tdnn": self.tdnn, "bn": self.bn}
@@ -153,13 +153,13 @@ class _Head:
     def forward(self, z, train, rng):
         y = z
         for fc, relu, bn, drop in zip(self.fcs, self.relus, self.bns, self.drops):
-            y = fc.forward(y)
+            y = fc.forward(y, cache=train)
             if self.bn_first:
-                y = relu.forward(bn.forward(y, train))
+                y = relu.forward(bn.forward(y, train, cache=train), cache=train)
             else:
-                y = bn.forward(relu.forward(y), train)
-            y = drop.forward(y, train, rng)
-        return self.out.forward(y)
+                y = bn.forward(relu.forward(y, cache=train), train, cache=train)
+            y = drop.forward(y, train, rng, cache=train)
+        return self.out.forward(y, cache=train)
 
     def backward(self, dy):
         dy = self.out.backward(dy)
@@ -214,6 +214,7 @@ class MultiBranchModel:
         }
         self.grl = nn.GradReverse()
         self._grl_active = False
+        self._pending = frozenset()  # partitions whose train-mode caches await backward
 
         named = {
             f"{prefix}.{pname}": p
@@ -270,7 +271,7 @@ class MultiBranchModel:
         y = x.astype(self.dtype, copy=False)
         for block in self.encoder_blocks:
             y = block.forward(y, train)
-        return self.pool.forward(y)
+        return self.pool.forward(y, cache=train)
 
     def forward(
         self,
@@ -282,26 +283,42 @@ class MultiBranchModel:
         """Run all branches; returns (z, fluent_logits, disfluent_logits, speaker_logits).
 
         `train` lists the partitions running in train mode (batch-stat norm,
-        stat updates, dropout); everything else runs eval semantics. The
-        gradient reversal layer is wired in front of the speaker head when
-        grl_lambda is given; its forward is the identity either way.
+        stat updates, dropout, caches for backward); everything else runs
+        eval semantics and keeps nothing, so a forward with an empty train
+        set writes no state and one model can serve concurrent eval callers.
+        The gradient reversal layer is wired in front of a train-mode
+        speaker head when grl_lambda is given; its forward is the identity.
         """
         z = self.encode(x, train="encoder" in train)
         lf = self.heads["fluent"].forward(z, "fluent" in train, rng)
         ld = self.heads["disfluent"].forward(z, "disfluent" in train, rng)
-        zs = self.grl.forward(z, grl_lambda) if grl_lambda is not None else z
-        self._grl_active = grl_lambda is not None
+        grl = grl_lambda is not None and "speaker" in train
+        zs = self.grl.forward(z, grl_lambda) if grl else z
         ls = self.heads["speaker"].forward(zs, "speaker" in train, rng)
+        if train:
+            self._pending = frozenset(train)
+            self._grl_active = grl
         return z, lf, ld, ls
 
     def backward(self, dlf=None, dld=None, dls=None):
-        """Backpropagate this batch's logit gradients; overwrites all grads.
+        """Backpropagate the last train-mode forward's logit gradients; overwrites all grads.
 
         Each gradient argument is (batch, head_out) already scaled by its
-        loss weight, or None to leave that branch out. The speaker branch's
-        encoder contribution passes through the gradient reversal layer iff
-        it was active in the last forward.
+        loss weight, or None to leave that branch out; a gradient for a head
+        that did not run in train mode since the last backward raises
+        NoPendingForward. The speaker branch's encoder contribution passes
+        through the gradient reversal layer iff it was active in that
+        forward. The encoder is entered only if it ran in train mode, and
+        its first layer computes no input gradient; frozen encoder grads
+        read zero.
         """
+        for part, grad in (("fluent", dlf), ("disfluent", dld), ("speaker", dls)):
+            if grad is not None and part not in self._pending:
+                raise NoPendingForward(
+                    f"backward got a {part} gradient, but no train-mode forward of the "
+                    f"{part} head awaits it"
+                )
+        pending, self._pending = self._pending, frozenset()
         self.zero_grads()
         dz = None
 
@@ -317,11 +334,12 @@ class MultiBranchModel:
             dz = add(dz, self.heads["disfluent"].backward(dld))
         if dlf is not None:
             dz = add(dz, self.heads["fluent"].backward(dlf))
-        if dz is None:
+        if dz is None or "encoder" not in pending:
             return
         dy = self.pool.backward(dz)
-        for block in reversed(self.encoder_blocks):
+        for block in reversed(self.encoder_blocks[1:]):
             dy = block.backward(dy)
+        self.encoder_blocks[0].backward(dy, input_grad=False)
 
     # -- inference ------------------------------------------------------------
 

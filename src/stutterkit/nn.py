@@ -2,10 +2,11 @@
 
 The network is a fixed chain with three heads, so each layer carries an
 explicit forward/backward pair instead of a general autodiff tape. Forward
-caches whatever backward needs; backward returns the input gradient and
-accumulates parameter gradients in place. Every backward formula here is
-validated against central finite differences (see finite_difference_check
-and the gradient test suite).
+caches whatever backward needs unless called with cache=False, which keeps
+no state at all; backward reads that cache, drops it, returns the input
+gradient and accumulates parameter gradients in place. Every backward
+formula here is validated against central finite differences (see
+finite_difference_check and the gradient test suite).
 
 Shapes are batched: temporal tensors are (batch, channels, frames), flat
 tensors are (batch, features). Kernels are deterministic pure functions of
@@ -115,6 +116,7 @@ class TdnnLayer(Layer):
     is one GEMM per clip on its own (K * C_in, T_out) U (U is x when K = 1), so a
     clip's output never depends on its batch; dW is one GEMM by U as (K * C_in, B * T_out);
     dX scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
+    backward(dy, input_grad=False) accumulates dW and db only and returns None.
     """
 
     def __init__(self, in_channels, out_channels, offsets, rng=None, dtype=np.float32):
@@ -137,7 +139,7 @@ class TdnnLayer(Layer):
         _uniform_init(rng, self.weight, fan_in)
         _uniform_init(rng, self.bias, fan_in)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeMismatch(f"expected (batch, {self.in_channels}, frames), got {x.shape}")
         t_in = x.shape[2]
@@ -150,18 +152,23 @@ class TdnnLayer(Layer):
             [x[:, :, s : s + t_out] for s in self.shifts], axis=1)
         out = np.matmul(self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1), u)
         out += self.bias.value[:, None]
-        self._cache = x
+        if cache:
+            self._cache = x
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._cache
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        x, self._cache = self._cache, None
         b, c_out, t_out = dy.shape
         u = np.concatenate([x[:, :, s : s + t_out].transpose(1, 0, 2) for s in self.shifts])
+        shape, dtype = x.shape, x.dtype
+        del x
         dw = dy.transpose(1, 0, 2).reshape(c_out, b * t_out) @ u.reshape(len(u), -1).T
         del u
         self.weight.grad += dw.reshape(c_out, len(self.shifts), -1).transpose(0, 2, 1)
         self.bias.grad += dy.sum(axis=(0, 2))
-        dx = np.zeros_like(x)
+        if not input_grad:
+            return None
+        dx = np.zeros(shape, dtype)
         for k, s in enumerate(self.shifts):
             dx[:, :, s : s + t_out] += np.matmul(self.weight.value[:, :, k].T, dy)
         return dx
@@ -186,14 +193,15 @@ class Linear(Layer):
         _uniform_init(rng, self.weight, self.in_features)
         _uniform_init(rng, self.bias, self.in_features)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeMismatch(f"expected (batch, {self.in_features}), got {x.shape}")
-        self._cache = x
+        if cache:
+            self._cache = x
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._cache
+        x, self._cache = self._cache, None
         self.weight.grad += dy.T @ x
         self.bias.grad += dy.sum(axis=0)
         return dy @ self.weight.value
@@ -203,12 +211,14 @@ class Relu(Layer):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._cache = x > 0
         return np.maximum(x, 0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._cache
+        mask, self._cache = self._cache, None
+        return dy * mask
 
 
 class BatchNorm1d(Layer):
@@ -247,7 +257,7 @@ class BatchNorm1d(Layer):
     def _shaped(self, v, ndim):
         return v[None, :, None] if ndim == 3 else v[None, :]
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, cache: bool = True) -> np.ndarray:
         if x.ndim not in (2, 3) or x.shape[1] != self.channels:
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
         axes = (0,) if x.ndim == 2 else (0, 2)
@@ -272,13 +282,14 @@ class BatchNorm1d(Layer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= self._shaped(inv_std, x.ndim)
-        self._cache = (xhat, inv_std, train, axes)
+        if cache:
+            self._cache = (xhat, inv_std, train, axes)
         out = self._shaped(self.gamma.value, x.ndim) * xhat
         out += self._shaped(self.beta.value, x.ndim)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, train, axes = self._cache
+        (xhat, inv_std, train, axes), self._cache = self._cache, None
         sum_dy_xhat = (dy * xhat).sum(axis=axes)
         sum_dy = dy.sum(axis=axes)
         self.gamma.grad += sum_dy_xhat
@@ -309,17 +320,18 @@ class StatPool(Layer):
         self.eps = eps
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeMismatch(f"expected (batch, channels, frames), got {x.shape}")
         mu = x.mean(axis=2)
         centered = x - mu[:, :, None]
         std = np.sqrt((centered**2).mean(axis=2) + self.eps)
-        self._cache = (centered, std, x.shape[2])
+        if cache:
+            self._cache = (centered, std, x.shape[2])
         return np.concatenate([mu, std], axis=1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        centered, std, t = self._cache
+        (centered, std, t), self._cache = self._cache, None
         c = centered.shape[1]
         dmu = dy[:, :c]
         dstd = dy[:, c:]
@@ -337,21 +349,21 @@ class Dropout(Layer):
         self.p = p
         self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None
-                ) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
-        keep = (rng.random(x.shape) >= self.p).astype(x.dtype)
-        self._mask = keep / (1.0 - self.p)
-        return x * self._mask
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None,
+                cache: bool = True) -> np.ndarray:
+        mask = None
+        if train and self.p != 0.0:
+            if rng is None:
+                raise ValueError("train-mode dropout needs an rng")
+            keep = (rng.random(x.shape) >= self.p).astype(x.dtype)
+            mask = keep / (1.0 - self.p)
+        if cache:
+            self._mask = mask
+        return x if mask is None else x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy if mask is None else dy * mask
 
 
 class GradReverse(Layer):
