@@ -24,8 +24,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptCheckpoint, InvalidConfig, ShapeMismatch
-from .model import ArchConfig, MultiBranchModel, build_model
-from .model import CLASS_NAMES
+from .model import CLASS_NAMES, ArchConfig, MultiBranchModel
 
 MAGIC = b"SNCK"
 VERSION = 1
@@ -116,14 +115,14 @@ def load_checkpoint(path) -> tuple[MultiBranchModel, dict]:
         raise CorruptCheckpoint(
             f"{path}: payload is {len(payload)} bytes, directory says {total}"
         )
-    # Read-only views of the payload: load_snapshot copies them into the model.
+    # Read-only views of the payload: load_snapshot copies them into the undrawn model.
     snap = {
         name: np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=offset).reshape(shape)
         for name, shape, offset, nbytes in entries
     }
     try:
         arch = ArchConfig.from_dict(header["arch"])
-        model = build_model(arch, seed=0)
+        model = MultiBranchModel(arch)
         model.load_snapshot(snap)
     except (KeyError, TypeError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"{path}: state does not match header arch ({exc})") from exc

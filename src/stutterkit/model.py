@@ -18,7 +18,7 @@ never consulted. Argmax ties break toward the lower index.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from types import MappingProxyType
 
@@ -85,27 +85,15 @@ class ArchConfig:
         return self.context_span + 1
 
     def to_dict(self) -> dict:
-        return {
-            "n_podcasts": self.n_podcasts,
-            "n_mfcc": self.n_mfcc,
-            "encoder_channels": list(self.encoder_channels),
-            "contexts": [list(c) for c in self.contexts],
-            "head_hidden": list(self.head_hidden),
-            "dropout": self.dropout,
-            "bn_before_relu": self.bn_before_relu,
-        }
+        """Every field by name; json writes its tuples as lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(
-            n_podcasts=d["n_podcasts"],
-            n_mfcc=d["n_mfcc"],
-            encoder_channels=tuple(d["encoder_channels"]),
-            contexts=tuple(tuple(c) for c in d["contexts"]),
-            head_hidden=tuple(d["head_hidden"]),
-            dropout=d["dropout"],
-            bn_before_relu=d["bn_before_relu"],
-        )
+        """Inverse of to_dict, also after a json round trip turned tuples into lists."""
+        def frozen(v):
+            return tuple(map(frozen, v)) if isinstance(v, list) else v
+        return cls(**{f.name: frozen(d[f.name]) for f in fields(cls)})
 
 
 class _EncoderBlock:
@@ -174,6 +162,11 @@ class _Head:
             dy = fc.backward(dy)
         return dy
 
+    def release(self):
+        """Drop what a train-mode forward cached, for a backward that skips this head."""
+        for layer in self.fcs + self.relus + self.bns + self.drops + [self.out]:
+            layer._cache = None
+
     def layers(self):
         named = {}
         for i, (fc, bn) in enumerate(zip(self.fcs, self.bns), start=1):
@@ -188,11 +181,11 @@ class MultiBranchModel:
 
     Every Param is a view into one value buffer and one grad buffer, owned
     by the `arena` Param and laid out in sorted-name order, so each partition is one
-    contiguous slice. Initial values are drawn layer by layer, in
-    _named_layers order, straight into those views.
+    contiguous slice. The constructor leaves the arena zeroed and draws
+    nothing: build_model draws initial values, load_snapshot restores saved ones.
     """
 
-    def __init__(self, arch: ArchConfig, seed: int, dtype=np.float32):
+    def __init__(self, arch: ArchConfig, dtype=np.float32):
         arch.validate()
         self.arch = arch
         self.dtype = np.dtype(dtype).type
@@ -223,9 +216,6 @@ class MultiBranchModel:
         }
         self._params = MappingProxyType(dict(sorted(named.items())))
         self.arena = nn.arena(self._params.values(), dtype)
-        rng = np.random.default_rng(seed)
-        for _, layer in self._named_layers():
-            layer.init_params(rng)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -250,12 +240,6 @@ class MultiBranchModel:
 
     def partition_of(self, name: str) -> str:
         return name.split(".", 1)[0]
-
-    def partition_sizes(self) -> dict[str, int]:
-        sizes = {p: 0 for p in PARTITIONS}
-        for name, p in self.named_params().items():
-            sizes[self.partition_of(name)] += p.value.size
-        return sizes
 
     def zero_grads(self):
         self.arena.grad.fill(0.0)
@@ -306,13 +290,14 @@ class MultiBranchModel:
         Each gradient argument is (batch, head_out) already scaled by its
         loss weight, or None to leave that branch out; a gradient for a head
         that did not run in train mode since the last backward raises
-        NoPendingForward. The speaker branch's encoder contribution passes
-        through the gradient reversal layer iff it was active in that
-        forward. The encoder is entered only if it ran in train mode, and
-        its first layer computes no input gradient; frozen encoder grads
-        read zero.
+        NoPendingForward, and a train-mode head given no gradient drops its
+        caches. The speaker branch's encoder contribution passes through the
+        gradient reversal layer iff it was active in that forward. The
+        encoder is entered only if it ran in train mode, and its first layer
+        computes no input gradient; frozen encoder grads read zero.
         """
-        for part, grad in (("fluent", dlf), ("disfluent", dld), ("speaker", dls)):
+        grads = {"fluent": dlf, "disfluent": dld, "speaker": dls}
+        for part, grad in grads.items():
             if grad is not None and part not in self._pending:
                 raise NoPendingForward(
                     f"backward got a {part} gradient, but no train-mode forward of the "
@@ -321,19 +306,15 @@ class MultiBranchModel:
         pending, self._pending = self._pending, frozenset()
         self.zero_grads()
         dz = None
-
-        def add(a, b):
-            return b if a is None else a + b
-
-        if dls is not None:
-            dzs = self.heads["speaker"].backward(dls)
-            if self._grl_active:
-                dzs = self.grl.backward(dzs)
-            dz = add(dz, dzs)
-        if dld is not None:
-            dz = add(dz, self.heads["disfluent"].backward(dld))
-        if dlf is not None:
-            dz = add(dz, self.heads["fluent"].backward(dlf))
+        for part in ("speaker", "disfluent", "fluent"):  # the order dz sums in
+            if grads[part] is None:
+                if part in pending:
+                    self.heads[part].release()
+                continue
+            dzp = self.heads[part].backward(grads[part])
+            if part == "speaker" and self._grl_active:
+                dzp = self.grl.backward(dzp)
+            dz = dzp if dz is None else dz + dzp
         if dz is None or "encoder" not in pending:
             return
         dy = self.pool.backward(dz)
@@ -347,11 +328,6 @@ class MultiBranchModel:
         """Two-branch rule on a batch, eval mode; returns class indices."""
         _, lf, ld, _ = self.forward(x)
         return two_branch(lf, ld)
-
-    def predict(self, features: np.ndarray) -> StutterClass:
-        """Classify one feature matrix (n_mfcc, frames)."""
-        pred = self.predict_batch(features[None, :, :])
-        return StutterClass(int(pred[0]))
 
     # -- snapshots (used by checkpointing and best-epoch tracking) -------------
 
@@ -383,8 +359,12 @@ def two_branch(fluent_logits: np.ndarray, disfluent_logits: np.ndarray) -> np.nd
 
 
 def build_model(arch: ArchConfig, seed: int, dtype=np.float32) -> MultiBranchModel:
-    """Deterministically initialize the model for a given seed."""
-    return MultiBranchModel(arch, seed, dtype)
+    """The seeded constructor: draws initial values layer by layer, in _named_layers order."""
+    model = MultiBranchModel(arch, dtype)
+    rng = np.random.default_rng(seed)
+    for _, layer in model._named_layers():
+        layer.init_params(rng)
+    return model
 
 
 def set_trainable(subset):

@@ -5,8 +5,8 @@ explicit forward/backward pair instead of a general autodiff tape. Forward
 caches whatever backward needs unless called with cache=False, which keeps
 no state at all; backward reads that cache, drops it, returns the input
 gradient and accumulates parameter gradients in place. Every backward
-formula here is validated against central finite differences (see
-finite_difference_check and the gradient test suite).
+formula here is validated against central finite differences (see the
+gradient test suite, tests/gradcases.py).
 
 Shapes are batched: temporal tensors are (batch, channels, frames), flat
 tensors are (batch, features). Kernels are deterministic pure functions of
@@ -25,7 +25,6 @@ from .errors import (
     IndexOutOfRange,
     InputTooShort,
     InvalidRate,
-    NonDeterministicLoss,
     ShapeMismatch,
 )
 
@@ -49,21 +48,21 @@ class Param:
         return cls(value=value, grad=np.zeros_like(value))
 
     @classmethod
-    def empty(cls, shape, dtype) -> "Param":
-        return cls(value=np.empty(shape, dtype=dtype), grad=np.empty(shape, dtype=dtype))
+    def zeros(cls, shape, dtype) -> "Param":
+        return cls(value=np.zeros(shape, dtype=dtype), grad=np.zeros(shape, dtype=dtype))
 
 
 def arena(params, dtype) -> Param:
     """Rebind params, in iteration order, to views into one value and one grad buffer.
 
-    Returns the Param that owns both buffers. Nothing is copied: the caller
-    initialises values and grads through the views.
+    Returns the Param that owns both buffers, zeroed. Nothing is copied: the
+    caller initialises values through the views.
     """
     params = list(params)
     total = sum(p.value.size for p in params)
     # One allocation for both: rebuilding a model then reuses the pages the
     # previous one freed, where two made the allocator return them to the OS.
-    both = np.empty((2, total), dtype=dtype)
+    both = np.zeros((2, total), dtype=dtype)
     flat = Param(value=both[0], grad=both[1])
     start = 0
     for p in params:
@@ -76,18 +75,16 @@ def arena(params, dtype) -> Param:
 
 
 def _uniform_init(rng: np.random.Generator, p: Param, fan_in: int) -> None:
-    """Draw p's values uniformly from +-sqrt(1 / fan_in) and zero its grad."""
+    """Draw p's values uniformly from +-sqrt(1 / fan_in)."""
     bound = np.sqrt(1.0 / fan_in)
     p.value[...] = rng.uniform(-bound, bound, size=p.value.shape)
-    p.grad[...] = 0.0
 
 
 class Layer:
     """Base: a layer owns named Params and optional non-learnable buffers.
 
-    Layers built with rng=None hold uninitialised Params until
-    init_params(rng) sets their values and zeroes their grads; that lets an
-    owner place them in an arena first.
+    Layers built with rng=None hold zeroed Params until init_params(rng)
+    sets their values; that lets an owner place them in an arena first.
     """
 
     def params(self) -> dict[str, Param]:
@@ -98,10 +95,6 @@ class Layer:
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
-
-    def zero_grad(self):
-        for p in self.params().values():
-            p.grad[...] = 0.0
 
 
 class TdnnLayer(Layer):
@@ -125,8 +118,8 @@ class TdnnLayer(Layer):
         self.span = self.shifts[-1]
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weight = Param.empty((out_channels, in_channels, len(self.offsets)), dtype)
-        self.bias = Param.empty((out_channels,), dtype)
+        self.weight = Param.zeros((out_channels, in_channels, len(self.offsets)), dtype)
+        self.bias = Param.zeros((out_channels,), dtype)
         self._cache = None
         if rng is not None:
             self.init_params(rng)
@@ -180,8 +173,8 @@ class Linear(Layer):
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Param.empty((out_features, in_features), dtype)
-        self.bias = Param.empty((out_features,), dtype)
+        self.weight = Param.zeros((out_features, in_features), dtype)
+        self.bias = Param.zeros((out_features,), dtype)
         self._cache = None
         if rng is not None:
             self.init_params(rng)
@@ -236,8 +229,8 @@ class BatchNorm1d(Layer):
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Param.empty((channels,), dtype)
-        self.beta = Param.empty((channels,), dtype)
+        self.gamma = Param.zeros((channels,), dtype)
+        self.beta = Param.zeros((channels,), dtype)
         self.init_params()
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
@@ -250,9 +243,7 @@ class BatchNorm1d(Layer):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def init_params(self, rng=None):
-        for p, value in ((self.gamma, 1.0), (self.beta, 0.0)):
-            p.value[...] = value
-            p.grad[...] = 0.0
+        self.gamma.value[...] = 1.0  # beta stays zero
 
     def _shaped(self, v, ndim):
         return v[None, :, None] if ndim == 3 else v[None, :]
@@ -347,7 +338,7 @@ class Dropout(Layer):
         if not (0.0 <= p < 1.0):
             raise InvalidRate(f"dropout rate must be in [0, 1), got {p}")
         self.p = p
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None,
                 cache: bool = True) -> np.ndarray:
@@ -358,11 +349,11 @@ class Dropout(Layer):
             keep = (rng.random(x.shape) >= self.p).astype(x.dtype)
             mask = keep / (1.0 - self.p)
         if cache:
-            self._mask = mask
+            self._cache = mask
         return x if mask is None else x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        mask, self._mask = self._mask, None
+        mask, self._cache = self._cache, None
         return dy if mask is None else dy * mask
 
 
@@ -378,13 +369,6 @@ class GradReverse(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return -self._lam * dy
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stable for logits of any finite magnitude."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, target):
@@ -422,8 +406,9 @@ class Adam:
     else keeps its bits, its moments, and its step count. Trainable params
     that sit next to each other in one arena and share a step count form a
     run, and each run is updated by a few vector ops over its slice of the
-    arena; a param outside any arena is a run of its own. The moments of an
-    arena's params are views into flat buffers laid out like the arena.
+    arena; a param outside any arena is an arena of its own, from 0. The
+    moments of an arena's params are views into flat buffers laid out like
+    the arena.
     """
 
     def __init__(self, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -435,19 +420,19 @@ class Adam:
         self._moments: dict[Param, tuple[np.ndarray, np.ndarray]] = {}
 
     def _fresh_state(self, p: Param) -> dict:
-        if p.arena is None:
-            return {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
-        if p.arena not in self._moments:
-            self._moments[p.arena] = (np.zeros_like(p.arena.value), np.zeros_like(p.arena.value))
+        owner = p.arena or p
+        if owner not in self._moments:
+            self._moments[owner] = (np.zeros(owner.value.size, owner.value.dtype),
+                                    np.zeros(owner.value.size, owner.value.dtype))
         here = slice(p.start, p.start + p.value.size)
-        m, v = (flat[here].reshape(p.value.shape) for flat in self._moments[p.arena])
+        m, v = (flat[here].reshape(p.value.shape) for flat in self._moments[owner])
         m[...] = 0.0
         v[...] = 0.0
         return {"m": m, "v": v, "t": 0}
 
     def step(self, named_params: Mapping[str, Param], trainable) -> None:
         """Apply one update to every named param for which trainable(name)."""
-        runs = []  # [first param, its state, stop, states]
+        runs = []  # [owner, first param's state, start, stop, states]
         for name, p in named_params.items():
             if not trainable(name):
                 continue
@@ -456,23 +441,23 @@ class Adam:
             st = self.state.get(name)
             if st is None:
                 st = self.state[name] = self._fresh_state(p)
+            owner = p.arena or p
             run = runs[-1] if runs else None
-            if (run is not None and p.arena is not None and p.arena is run[0].arena
-                    and p.start == run[2] and st["t"] == run[1]["t"]):
-                run[2] += p.value.size
-                run[3].append(st)
+            if (run is not None and owner is run[0] and p.start == run[3]
+                    and st["t"] == run[1]["t"]):
+                run[3] += p.value.size
+                run[4].append(st)
             else:
-                runs.append([p, st, p.start + p.value.size, [st]])
-        for p, st, stop, states in runs:
+                runs.append([owner, st, p.start, p.start + p.value.size, [st]])
+        for owner, st, start, stop, states in runs:
             t = st["t"] + 1
+            here = slice(start, stop)
+            m, v = self._moments[owner]
+            # copy=False: a flattening that needed a copy would update the copy
+            self._update(np.reshape(owner.value, -1, copy=False)[here],
+                         np.reshape(owner.grad, -1, copy=False)[here], m[here], v[here], t)
             for s in states:
                 s["t"] = t
-            if p.arena is None:
-                self._update(p.value, p.grad, st["m"], st["v"], t)
-            else:
-                here = slice(p.start, stop)
-                m, v = self._moments[p.arena]
-                self._update(p.arena.value[here], p.arena.grad[here], m[here], v[here], t)
 
     def _update(self, value, g, m, v, t) -> None:
         """One update in place; each op rounds as the per-parameter expression does."""
@@ -494,60 +479,3 @@ class Adam:
         """Forget the moments and step count of every param for which selected(name)."""
         for name in [name for name in self.state if selected(name)]:
             del self.state[name]
-
-
-@dataclass
-class GradCheckReport:
-    tolerance: float
-    max_rel_error: dict[str, float] = field(default_factory=dict)
-    passed: bool = True
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_error.values()) if self.max_rel_error else 0.0
-
-
-def finite_difference_check(
-    loss_fn,
-    params: dict[str, Param],
-    tolerance: float | None = None,
-    step: float | None = None,
-) -> GradCheckReport:
-    """Validate analytic gradients against central finite differences.
-
-    loss_fn() must run forward + backward and return (scalar loss, grads dict
-    keyed like params); it must be deterministic (dropout off or a fixed
-    mask). Step and tolerance default per dtype: 1e-3 / 1e-3 for float32
-    params, 1e-5 / 1e-6 for float64.
-
-    relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
-    """
-    loss0, grads0 = loss_fn()
-    loss1, _ = loss_fn()
-    if loss0 != loss1:
-        raise NonDeterministicLoss(f"loss changed between evaluations: {loss0} vs {loss1}")
-    analytic = {name: np.array(g, dtype=np.float64, copy=True) for name, g in grads0.items()}
-
-    report = GradCheckReport(tolerance=tolerance if tolerance is not None else 0.0)
-    for name, p in params.items():
-        is32 = p.value.dtype == np.float32
-        h = step if step is not None else (1e-3 if is32 else 1e-5)
-        tol = tolerance if tolerance is not None else (1e-3 if is32 else 1e-6)
-        report.tolerance = tol
-        flat = p.value.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = loss_fn()[0]
-            flat[i] = orig - h
-            f_minus = loss_fn()[0]
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(ana[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(ana[i] - numeric) / denom)
-        report.max_rel_error[name] = worst
-        if worst > tol:
-            report.passed = False
-    return report

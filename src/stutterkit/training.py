@@ -1,33 +1,25 @@
 """Training loops: stutter-only baseline, multi-task, and adversarial.
 
 Objectives differ only in how the three head losses are combined and which
-parameter partitions the optimizer may touch:
+parameter partitions the optimizer may touch. baseline and mtl are one
+stage each; adv runs four, with the gradient reversal layer in joint_grl:
 
-  baseline  minimize l_fluent + l_disfluent; the speaker branch is inert.
-  mtl       minimize (1 - lambda) * (l_fluent + l_disfluent) + lambda * l_speaker.
-  adv       minimize l_fluent + l_disfluent - lambda * l_speaker for the
-            encoder while the speaker head still descends l_speaker; realized
-            with the gradient reversal layer and a four-stage schedule:
-            epochs [0, b1) speaker_only   train {encoder, speaker}
-                   [b1, b2) stutter_only  train {encoder, fluent, disfluent}
-                   [b2, b3) joint_grl     train all, reversal active
-                   [b3, ..) recovery      train {fluent, disfluent}
+    epochs [0, b1) speaker_only, [b1, b2) stutter_only,
+           [b2, b3) joint_grl,   [b3, ..) recovery
 
-l_disfluent is averaged over the disfluent clips in the batch and is 0.0
-when there are none. Early stopping watches the validation stutter loss
-(l_fluent + l_disfluent) and, for the adversarial schedule, only arms itself
+STAGES is the one table of what each stage trains and descends. l_stutter
+is l_fluent + l_disfluent; l_disfluent is averaged over the disfluent clips
+in the batch and is 0.0 when there are none. Early stopping watches the
+validation stutter loss and, for the adversarial schedule, only arms itself
 once the recovery stage begins. Frozen partitions keep their parameter bits,
 optimizer moments, and running statistics untouched, and run eval-mode
 semantics in the training forward pass.
 
 A partition's Adam moments and step count restart whenever the loss it
 descends changes (see descended_loss). Each head always descends its own
-loss, so its moments carry across stages, frozen ones included. The
-encoder descends l_speaker in speaker_only, the stutter loss in
-stutter_only and the stutter loss minus lambda * l_speaker in joint_grl,
-so the adversarial schedule restarts its moments as stutter_only and
-joint_grl begin; a lambda that changes within a stage is no restart.
-baseline and mtl have one stage and never restart.
+loss, so its moments carry across stages, frozen ones included; the
+encoder's change as stutter_only and joint_grl begin. A lambda that changes
+within a stage is no restart.
 
 Each epoch's valid_stutter_loss and valid_acc come from one eval-mode pass
 over the validation set (infer), train_acc from one over the training set;
@@ -38,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +38,7 @@ import numpy as np
 from . import nn
 from .data import features_of
 from .errors import EmptyBatch, InvalidConfig, NumericError
-from .model import MultiBranchModel, set_trainable, two_branch
+from .model import PARTITIONS, MultiBranchModel, set_trainable, two_branch
 
 log = logging.getLogger(__name__)
 
@@ -100,18 +93,51 @@ class TrainConfig:
             raise InvalidConfig(f"stage bounds must increase, got {self.stage_bounds}")
 
 
+@dataclass(frozen=True)
+class Stage:
+    """What one training stage trains and descends.
+
+    trains: the partitions the optimizer steps. Each of them that is a head
+    gets its loss's gradient, whatever its weight; no other head gets one.
+    encoder_loss: the loss the encoder descends, None where it is frozen.
+    weights(lam): (w_stutter, w_speaker) with
+    l_total = w_stutter * l_stutter + w_speaker * l_speaker.
+    reversal: the speaker head descends l_speaker at unit weight behind the
+    gradient reversal layer, which hands w_speaker = -lambda to the encoder.
+    """
+
+    trains: frozenset
+    encoder_loss: str | None
+    weights: Callable[[float], tuple[float, float]]
+    reversal: bool = False
+
+    def head_weights(self, lam: float) -> dict[str, float]:
+        """Each head's gradient weight: w_stutter, and w_speaker or 1 behind the reversal layer."""
+        w_stutter, w_speaker = self.weights(lam)
+        return {"fluent": w_stutter, "disfluent": w_stutter,
+                "speaker": 1.0 if self.reversal else w_speaker}
+
+
+_STUTTER_PATH = frozenset({"encoder", "fluent", "disfluent"})
+
+STAGES = {
+    "baseline": Stage(_STUTTER_PATH, "l_stutter", lambda lam: (1.0, 0.0)),
+    "mtl": Stage(frozenset(PARTITIONS), "(1 - lambda) * l_stutter + lambda * l_speaker",
+                 lambda lam: (1.0 - lam, lam)),
+    "speaker_only": Stage(frozenset({"encoder", "speaker"}), "l_speaker",
+                          lambda lam: (0.0, 1.0)),
+    "stutter_only": Stage(_STUTTER_PATH, "l_stutter", lambda lam: (1.0, 0.0)),
+    "joint_grl": Stage(frozenset(PARTITIONS), "l_stutter - lambda * l_speaker",
+                       lambda lam: (1.0, -lam), reversal=True),
+    "recovery": Stage(frozenset({"fluent", "disfluent"}), None, lambda lam: (1.0, 0.0)),
+}
+
+
 def stage_at(cfg: TrainConfig, epoch: int) -> str:
     """Name of the active training stage; non-adversarial runs have one stage."""
     if cfg.objective != "adv":
         return cfg.objective
-    b1, b2, b3 = cfg.stage_bounds
-    if epoch < b1:
-        return "speaker_only"
-    if epoch < b2:
-        return "stutter_only"
-    if epoch < b3:
-        return "joint_grl"
-    return "recovery"
+    return ADV_STAGES[sum(epoch >= b for b in cfg.stage_bounds)]
 
 
 def lambda_at(cfg: TrainConfig, epoch: int) -> float:
@@ -133,36 +159,18 @@ def lambda_at(cfg: TrainConfig, epoch: int) -> float:
     return 2.0 / (1.0 + np.exp(sign * cfg.gamma * p)) - 1.0
 
 
-def trainable_partitions(cfg: TrainConfig, stage: str) -> set:
-    if stage == "baseline" or stage == "stutter_only":
-        return {"encoder", "fluent", "disfluent"}
-    if stage == "mtl" or stage == "joint_grl":
-        return {"encoder", "fluent", "disfluent", "speaker"}
-    if stage == "speaker_only":
-        return {"encoder", "speaker"} if cfg.stage1_trains_encoder else {"speaker"}
-    if stage == "recovery":
-        return {"fluent", "disfluent"}
-    raise InvalidConfig(f"unknown stage {stage!r}")
+def trainable_partitions(cfg: TrainConfig, stage: str) -> frozenset:
+    """STAGES' partitions, less the encoder in speaker_only unless stage1_trains_encoder."""
+    if stage not in STAGES:
+        raise InvalidConfig(f"unknown stage {stage!r}")
+    if stage == "speaker_only" and not cfg.stage1_trains_encoder:
+        return STAGES[stage].trains - {"encoder"}
+    return STAGES[stage].trains
 
 
-ENCODER_LOSS = {
-    "baseline": "l_stutter",
-    "mtl": "(1 - lambda) * l_stutter + lambda * l_speaker",
-    "speaker_only": "l_speaker",
-    "stutter_only": "l_stutter",
-    "joint_grl": "l_stutter - lambda * l_speaker",
-}
-
-
-def descended_loss(stage: str, partition: str) -> str:
-    """The loss a partition descends while it is trainable in a stage.
-
-    l_stutter is l_fluent + l_disfluent. Heads descend their own loss in
-    every stage; the encoder is frozen in recovery, so it has no entry there.
-    """
-    if partition != "encoder":
-        return f"l_{partition}"
-    return ENCODER_LOSS[stage]
+def descended_loss(stage: str, partition: str) -> str | None:
+    """The loss a partition descends in a stage: each head its own in every stage."""
+    return STAGES[stage].encoder_loss if partition == "encoder" else f"l_{partition}"
 
 
 def early_stop_active(cfg: TrainConfig, stage: str) -> bool:
@@ -226,15 +234,9 @@ def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
 
 def loss_total(stage: str, lam: float, l_fluent: float, l_disfluent: float,
                l_speaker: float) -> float:
-    """The scalar objective value implied by a stage's loss combination."""
-    stutter = l_fluent + l_disfluent
-    if stage == "mtl":
-        return (1.0 - lam) * stutter + lam * l_speaker
-    if stage == "speaker_only":
-        return l_speaker
-    if stage == "joint_grl":
-        return stutter - lam * l_speaker
-    return stutter
+    """The scalar objective value a stage's weights make of the head losses."""
+    w_stutter, w_speaker = STAGES[stage].weights(lam)
+    return w_stutter * (l_fluent + l_disfluent) + w_speaker * l_speaker
 
 
 class EarlyStopper:
@@ -428,7 +430,8 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
             lam = lambda_at(cfg, epoch)
             parts = trainable_partitions(cfg, stage)
             _, name_ok = set_trainable(parts)
-            grl = lam if stage == "joint_grl" else None
+            weight = STAGES[stage].head_weights(lam)
+            reversal = STAGES[stage].reversal
             for part in parts:
                 loss = descended_loss(stage, part)
                 if last_loss.get(part, loss) != loss:
@@ -451,22 +454,12 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                     speaker_map=smap if track_speaker else None,
                     dtype=model.dtype,
                 )
-                _, lf, ld, ls = model.forward(x, train=parts, grl_lambda=grl, rng=drop_rng)
+                _, lf, ld, ls = model.forward(x, train=parts, rng=drop_rng,
+                                              grl_lambda=lam if reversal else None)
                 losses = compute_losses(lf, ld, ls, y, ys)
-
-                if stage == "mtl":
-                    dlf, dld = (1.0 - lam) * losses.dlf, (1.0 - lam) * losses.dld
-                    dls = lam * losses.dls
-                elif stage == "speaker_only":
-                    dlf = dld = None
-                    dls = losses.dls
-                elif stage == "joint_grl":
-                    # Unit speaker weight: the reversal layer applies -lambda on
-                    # the encoder path while the head descends its own loss.
-                    dlf, dld, dls = losses.dlf, losses.dld, losses.dls
-                else:  # baseline, stutter_only, recovery
-                    dlf, dld, dls = losses.dlf, losses.dld, None
-                model.backward(dlf=dlf, dld=dld, dls=dls)
+                grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
+                model.backward(*(weight[h] * grads[h] if h in parts else None
+                                 for h in ("fluent", "disfluent", "speaker")))
                 opt.step(model.named_params(), name_ok)
 
                 sum_f += losses.l_fluent * losses.n

@@ -1,4 +1,5 @@
-"""Finite-difference test cases shared by the gradient and acceptance suites.
+"""The finite-difference harness and the test cases it checks, shared by the
+gradient and acceptance suites.
 
 Each case builds a small differentiable program twice, in float32 and
 float64, from the same seed; the float64 twin's arrays are then overwritten
@@ -10,14 +11,80 @@ whereas a wrong backward formula still shows up as an O(1) mismatch here.
 Float64 cases are checked natively at 1e-6.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from stutterkit import nn
+from stutterkit.errors import NonDeterministicLoss
 from stutterkit.model import ArchConfig, build_model
 from stutterkit.training import compute_losses
 
 F32_TOL = 1e-3
 F64_TOL = 1e-6
+
+
+@dataclass
+class GradCheckReport:
+    tolerance: float
+    max_rel_error: dict[str, float] = field(default_factory=dict)
+    passed: bool = True
+
+    @property
+    def worst(self) -> float:
+        return max(self.max_rel_error.values()) if self.max_rel_error else 0.0
+
+
+def finite_difference_check(
+    loss_fn,
+    params: dict[str, nn.Param],
+    tolerance: float | None = None,
+    step: float | None = None,
+) -> GradCheckReport:
+    """Validate analytic gradients against central finite differences.
+
+    loss_fn() must run forward + backward and return (scalar loss, grads dict
+    keyed like params); it must be deterministic (dropout off or a fixed
+    mask). Step and tolerance default per dtype: 1e-3 / 1e-3 for float32
+    params, 1e-5 / 1e-6 for float64.
+
+    relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
+    """
+    loss0, grads0 = loss_fn()
+    loss1, _ = loss_fn()
+    if loss0 != loss1:
+        raise NonDeterministicLoss(f"loss changed between evaluations: {loss0} vs {loss1}")
+    analytic = {name: np.array(g, dtype=np.float64, copy=True) for name, g in grads0.items()}
+
+    report = GradCheckReport(tolerance=tolerance if tolerance is not None else 0.0)
+    for name, p in params.items():
+        is32 = p.value.dtype == np.float32
+        h = step if step is not None else (1e-3 if is32 else 1e-5)
+        tol = tolerance if tolerance is not None else (1e-3 if is32 else 1e-6)
+        report.tolerance = tol
+        flat = p.value.reshape(-1)
+        ana = analytic[name].reshape(-1)
+        worst = 0.0
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = loss_fn()[0]
+            flat[i] = orig - h
+            f_minus = loss_fn()[0]
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            denom = max(abs(ana[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(ana[i] - numeric) / denom)
+        report.max_rel_error[name] = worst
+        if worst > tol:
+            report.passed = False
+    return report
+
+
+def zero_grad(*layers):
+    for layer in layers:
+        for p in layer.params().values():
+            p.grad[...] = 0.0
 
 
 def grad_arch():
@@ -56,7 +123,7 @@ def sync_twins(c32: Case, c64: Case):
 
 def native_f64_report(case_cls, **kw):
     c = case_cls(np.float64, **kw)
-    return nn.finite_difference_check(c.run, c.params(), tolerance=F64_TOL, step=1e-5)
+    return finite_difference_check(c.run, c.params(), tolerance=F64_TOL, step=1e-5)
 
 
 def paired_f32_report(case_cls, **kw):
@@ -69,7 +136,7 @@ def paired_f32_report(case_cls, **kw):
         _, grads = c32.run()
         return loss, grads
 
-    return nn.finite_difference_check(loss_fn, c64.params(), tolerance=F32_TOL, step=1e-5)
+    return finite_difference_check(loss_fn, c64.params(), tolerance=F32_TOL, step=1e-5)
 
 
 class TdnnCase(Case):
@@ -83,7 +150,7 @@ class TdnnCase(Case):
         return {f"tdnn.{k}": p for k, p in self.layer.params().items()}
 
     def run(self):
-        self.layer.zero_grad()
+        zero_grad(self.layer)
         y = self.layer.forward(self.inputs["x"])
         pooled = y.mean(axis=2)
         losses, grads = nn.softmax_cross_entropy(pooled, self.targets)
@@ -111,8 +178,7 @@ class LinearReluChainCase(Case):
         return out
 
     def run(self):
-        self.l1.zero_grad()
-        self.l2.zero_grad()
+        zero_grad(self.l1, self.l2)
         logits = self.l2.forward(self.relu.forward(self.l1.forward(self.inputs["x"])))
         losses, grads = nn.softmax_cross_entropy(logits, self.targets)
         self.l1.backward(self.relu.backward(self.l2.backward(grads / len(self.targets))))
@@ -137,8 +203,7 @@ class BatchNormCase(Case):
         return out
 
     def run(self):
-        self.bn.zero_grad()
-        self.out.zero_grad()
+        zero_grad(self.bn, self.out)
         y = self.bn.forward(self.inputs["x"], train=True)
         flat = y.mean(axis=2) if self.temporal else y
         logits = self.out.forward(flat)
@@ -170,8 +235,7 @@ class StatPoolCase(Case):
         return out
 
     def run(self):
-        self.tdnn.zero_grad()
-        self.out.zero_grad()
+        zero_grad(self.tdnn, self.out)
         z = self.pool.forward(self.tdnn.forward(self.inputs["x"]))
         losses, grads = nn.softmax_cross_entropy(self.out.forward(z), self.targets)
         self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets))))
@@ -220,8 +284,7 @@ class GrlCase(Case):
         return {f"{prefix}.{k}": p for k, p in layer.params().items()}
 
     def run(self):
-        self.up.zero_grad()
-        self.head.zero_grad()
+        zero_grad(self.up, self.head)
         z = self.grl.forward(self.up.forward(self.inputs["x"]), lam=self.lam)
         losses, grads = nn.softmax_cross_entropy(self.head.forward(z), self.targets)
         self.up.backward(self.grl.backward(self.head.backward(grads / len(self.targets))))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_DIRECTORIES, make_tiny_arch, rewrite_tensor_directory
+from stutterkit import nn
 from stutterkit.checkpoint import (
     MAGIC,
     VERSION,
@@ -43,6 +44,17 @@ class TestRoundtrip:
         assert loaded.arch == model.arch
         assert header["speaker_map"] == {"pod0": 0, "pod1": 1, "pod2": 2}
         assert header["extra"] == {"objective": "baseline"}
+
+    def test_load_draws_no_initial_values(self, trained, monkeypatch):
+        model, path = trained
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew initial values")
+
+        monkeypatch.setattr(nn, "_uniform_init", no_draws)
+        loaded, _ = load_checkpoint(path)
+        for name, arr in model.state_arrays().items():
+            assert arr.tobytes() == loaded.state_arrays()[name].tobytes(), name
 
     def test_predictions_survive(self, trained, rng):
         model, path = trained

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gradcases as gc
-from stutterkit import nn
 
 ALL_CASES = gc.LAYER_CASES + gc.MODEL_CASES
 CASE_IDS = [name for name, _, _ in ALL_CASES]
@@ -32,7 +31,7 @@ def test_negative_control_scaled_gradient():
         loss, grads = case.run()
         return loss, {name: 1.01 * g for name, g in grads.items()}
 
-    report = nn.finite_difference_check(tampered, case.params(), tolerance=gc.F64_TOL,
+    report = gc.finite_difference_check(tampered, case.params(), tolerance=gc.F64_TOL,
                                         step=1e-5)
     assert not report.passed
 
@@ -45,7 +44,7 @@ def test_negative_control_wrong_sign_grl():
         loss, grads = case.run()
         return -loss, grads  # pretend the objective was +lambda * L
 
-    report = nn.finite_difference_check(sign_flipped, case.params(),
+    report = gc.finite_difference_check(sign_flipped, case.params(),
                                         tolerance=gc.F64_TOL, step=1e-5)
     assert not report.passed
 

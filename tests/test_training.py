@@ -483,6 +483,24 @@ class TestTrainLoop:
         for name in model.named_params():
             assert result.optimizer.state[name]["t"] == expected[model.partition_of(name)], name
 
+    @pytest.mark.parametrize("objective,speaker_epochs", [("mtl", 3), ("adv", 2)])
+    def test_speaker_head_steps_wherever_it_trains_at_lambda_zero(
+            self, objective, speaker_epochs):
+        # adv runs speaker_only, stutter_only, joint_grl: the speaker head
+        # trains in the first and the last, though joint_grl's weight is -0.0
+        records = tiny_corpus()
+        train_recs, valid = self.split(records)
+        cfg = TrainConfig(objective=objective, lam=0.0, max_epochs=3, batch_size=8, lr=1e-2,
+                          seed=5, stage_bounds=(1, 2, 3))
+        assert len(train_recs) % cfg.batch_size == 0  # no batch is dropped
+        steps = len(train_recs) // cfg.batch_size
+        model = build_model(make_tiny_arch(), seed=1)
+        result = train(model, train_recs, valid, cfg)
+        assert len(result.history) == 3
+        for name in model.named_params():
+            if name.startswith("speaker."):
+                assert result.optimizer.state[name]["t"] == speaker_epochs * steps, name
+
     def test_descended_loss_table(self):
         assert descended_loss("speaker_only", "encoder") == "l_speaker"
         assert descended_loss("stutter_only", "encoder") == "l_stutter"
