@@ -307,7 +307,7 @@ def cmd_eval(args):
             fh.write("\n")
         print(f"report written to {args.report}")
     if args.export_embeddings:
-        export_embeddings(model, records, args.export_embeddings)
+        export_embeddings(model, records, args.export_embeddings, outputs=report.outputs)
         print(f"embeddings written to {args.export_embeddings}")
     return 0
 

@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import EmptyMatrix, LengthMismatch, TooFewPodcasts
+from .errors import EmptyMatrix, LengthMismatch, ParseError, TooFewPodcasts
 from .model import CLASS_INITIALS, CLASS_NAMES, MultiBranchModel, StutterClass
-from .training import infer
+from .training import Inference, infer
 
 N_CLASSES = len(CLASS_NAMES)
 
 TABLE_COLUMNS = ("R", "P", "B", "I", "SA", "F", "TA")
+
+EMBEDDING_KEYS = ("clip_id", "podcast_id", "class")  # the CSV's leading columns
 
 
 def confusion(truth, pred, n_classes=N_CLASSES) -> np.ndarray:
@@ -72,6 +74,9 @@ class MetricsReport:
     pair_rates: dict = field(default_factory=dict)
     undefined_precision: tuple = ()  # classes never predicted (precision forced to 0)
     stutter_two_class_accuracy: float | None = None  # S2CA, set by evaluate_model
+    # The inference evaluate_model scored, for export_embeddings to reuse;
+    # not part of the report's value.
+    outputs: Inference | None = field(default=None, repr=False, compare=False)
 
     @property
     def class_accuracy(self) -> np.ndarray:
@@ -148,24 +153,38 @@ def metrics(m: np.ndarray) -> MetricsReport:
 
 
 def evaluate_model(model: MultiBranchModel, records, batch_size=64) -> MetricsReport:
-    """Two-branch predictions over records -> full report including S2CA."""
+    """Two-branch predictions over records -> full report including S2CA.
+
+    The inference it scored stays on the report as `outputs`.
+    """
     out = infer(model, records, batch_size)
     report = metrics(confusion(out.labels, out.predictions))
     report.stutter_two_class_accuracy = out.stutter_two_class_accuracy
+    report.outputs = out
     return report
 
 
-def export_embeddings(model: MultiBranchModel, records, path, batch_size=64) -> np.ndarray:
+def export_embeddings(model: MultiBranchModel, records, path, batch_size=64, *,
+                      outputs: Inference | None = None) -> np.ndarray:
     """Write pooled embeddings to CSV: clip_id, podcast_id, class, then 2C values.
 
-    Values are printed with 9 significant digits, which round-trips float32
-    exactly; rewriting the same records yields a byte-identical file.
+    `outputs`, an inference already run over exactly these records (such as
+    `evaluate_model(...).outputs`), is written as it is; without it the
+    records are forwarded here. Values are printed with 9 significant
+    digits, which round-trips float32 exactly; rewriting the same records
+    yields a byte-identical file.
     """
-    emb = infer(model, records, batch_size).embeddings
+    if outputs is None:
+        outputs = infer(model, records, batch_size)
+    elif len(outputs.labels) != len(records):
+        raise LengthMismatch(f"outputs cover {len(outputs.labels)} clips, "
+                             f"records {len(records)}")
+    elif not np.array_equal(outputs.labels, [int(rec.label) for rec in records]):
+        raise LengthMismatch("outputs' labels differ from the records' labels")
+    emb = outputs.embeddings
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["clip_id", "podcast_id", "class"]
-                        + [f"e{k}" for k in range(emb.shape[1])])
+        writer.writerow([*EMBEDDING_KEYS] + [f"e{k}" for k in range(emb.shape[1])])
         writer.writerows(
             [rec.clip_id, rec.podcast_id, CLASS_NAMES[rec.label]]
             + [format(float(v), ".9g") for v in z]
@@ -175,18 +194,30 @@ def export_embeddings(model: MultiBranchModel, records, path, batch_size=64) -> 
 
 
 def read_embeddings(path):
-    """Read an embeddings CSV back: (matrix, clip_ids, podcast_ids, labels)."""
+    """Read an embeddings CSV back: (matrix, clip_ids, podcast_ids, labels).
+
+    A missing or wrong header, a row whose width differs from the header's,
+    or a non-numeric value raises ParseError with the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 3
+        header = next(reader, None)
+        if header is None or tuple(header[:3]) != EMBEDDING_KEYS or len(header) < 4:
+            raise ParseError(f"{path}:1: expected header {','.join(EMBEDDING_KEYS)},e0,...")
         clip_ids, podcast_ids, labels, rows = [], [], [], []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: {len(row)} fields, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
             clip_ids.append(row[0])
             podcast_ids.append(row[1])
             labels.append(row[2])
-            rows.append([float(v) for v in row[3 : 3 + dim]])
-    return np.asarray(rows, dtype=np.float32), clip_ids, podcast_ids, labels
+    dim = len(header) - 3
+    return np.asarray(rows, dtype=np.float32).reshape(-1, dim), clip_ids, podcast_ids, labels
 
 
 @dataclass

@@ -9,10 +9,12 @@ import pytest
 from scipy.io import wavfile
 
 from conftest import MALFORMED_DIRECTORIES, rewrite_tensor_directory
-from stutterkit.cli import CONFIG_KEYS, RunConfig, main
-from stutterkit.data import StutterClass, load_manifest
+from stutterkit import training
+from stutterkit.checkpoint import load_checkpoint
+from stutterkit.cli import CONFIG_KEYS, RunConfig, _write_feature_corpus, main
+from stutterkit.data import StutterClass, SyntheticConfig, generate_synthetic, load_manifest
 from stutterkit.errors import ConfigError
-from stutterkit.evaluate import TABLE_COLUMNS, read_embeddings
+from stutterkit.evaluate import TABLE_COLUMNS, evaluate_model, export_embeddings, read_embeddings
 from stutterkit.features import read_fmat
 
 
@@ -115,6 +117,18 @@ def trained(tmp_path_factory, corpus):
     return ckpt
 
 
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    """70 clips of 15-40 frames: two eval batches, each cropped to its shortest clip."""
+    records = generate_synthetic(SyntheticConfig(
+        n_podcasts=3, clips_per_class=14, frames=40, n_mfcc=8, seed=4))
+    rng = np.random.default_rng(4)
+    for rec in records:
+        rec.features = rec.features[:, :rng.integers(15, 41)]
+    out = tmp_path_factory.mktemp("mixed")
+    return _write_feature_corpus(records, str(out))
+
+
 class TestPipeline:
     def test_synth_writes_corpus(self, corpus, capsys):
         records = load_manifest(corpus / "manifest.csv")
@@ -176,6 +190,31 @@ class TestPipeline:
             payloads.append(report.read_bytes())
         assert outputs[0] == outputs[1].replace("r1.json", "r0.json")
         assert payloads[0] == payloads[1]
+
+    def test_eval_forwards_each_clip_once(self, trained, mixed_corpus, tmp_path,
+                                          monkeypatch, capsys):
+        stacked = []
+        make_batch = training.make_batch
+
+        def counting(records, indices, *args, **kwargs):
+            stacked.extend(indices)
+            return make_batch(records, indices, *args, **kwargs)
+
+        monkeypatch.setattr(training, "make_batch", counting)
+        report, emb_csv = tmp_path / "report.json", tmp_path / "emb.csv"
+        assert main(["eval", "--checkpoint", str(trained), "--manifest", mixed_corpus,
+                     "--report", str(report), "--export-embeddings", str(emb_csv)]) == 0
+        records = load_manifest(mixed_corpus)
+        assert sorted(stacked) == list(range(len(records)))
+        monkeypatch.undo()
+
+        model, _ = load_checkpoint(trained)
+        want = evaluate_model(model, records)
+        assert want.table() in capsys.readouterr().out
+        assert report.read_text() == want.to_json() + "\n"
+        alone = tmp_path / "alone.csv"
+        export_embeddings(model, records, alone)
+        assert emb_csv.read_bytes() == alone.read_bytes()
 
     def test_probe_runs_on_exported_embeddings(self, trained, corpus, tmp_path, capsys):
         emb_csv = tmp_path / "emb.csv"
@@ -253,6 +292,20 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
                    "--manifest", str(corpus / "manifest.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "clip_id,podcast_id,class,e0\nc0,pod0,Fluent,0.5\nc1,pod1,Fluent,abc\n",
+        "clip_id,podcast_id,class,e0,e1\nc0,pod0,Fluent,0.5,0.1\nc1,pod1,Fluent,0.5\n",
+        "clip,speaker,label,e0\n" + "".join(
+            f"c{i},pod{i % 2},Fluent,{i}\n" for i in range(6)),
+        "clip_id,podcast_id,class\n" + "".join(f"c{i},pod{i % 2},Fluent\n" for i in range(6)),
+    ], ids=["empty", "non_numeric", "short_row", "wrong_header", "no_value_columns"])
+    def test_malformed_embeddings_csv(self, tmp_path, capsys, text):
+        path = tmp_path / "emb.csv"
+        path.write_text(text)
+        assert main(["probe", "--embeddings", str(path)]) == 2
+        assert "data error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
     def test_malformed_checkpoint_directory(self, trained, corpus, tmp_path, capsys, case):

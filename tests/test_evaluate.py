@@ -1,5 +1,6 @@
 """Confusion metrics, report formatting, embedding export, speaker probe."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from stutterkit.evaluate import (
     speaker_probe,
 )
 from stutterkit.model import build_model
-from stutterkit.training import make_batch
+from stutterkit.training import infer, make_batch
 
 
 class TestConfusion:
@@ -166,6 +167,41 @@ class TestEmbeddingExport:
         first = path.read_bytes()
         export_embeddings(model, records, path, batch_size=64)
         assert path.read_bytes() == first
+
+    def test_writes_given_outputs_without_a_forward(self, tmp_path, monkeypatch):
+        records = small_records()
+        model = build_model(make_tiny_arch(), seed=2)
+        alone = tmp_path / "alone.csv"
+        emb = export_embeddings(model, records, alone)
+        report = evaluate_model(model, records)
+
+        monkeypatch.setattr(model, "forward", None)  # any forward would now fail
+        given = tmp_path / "given.csv"
+        assert np.array_equal(export_embeddings(model, records, given,
+                                                outputs=report.outputs), emb)
+        assert given.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("subset", [lambda r: r[:-1], lambda r: r[::-1]],
+                             ids=["one_short", "reordered"])
+    def test_outputs_must_cover_the_records(self, tmp_path, subset):
+        records = small_records()
+        model = build_model(make_tiny_arch(), seed=2)
+        path = tmp_path / "emb.csv"
+        with pytest.raises(LengthMismatch):
+            export_embeddings(model, records, path, outputs=infer(model, subset(records)))
+        assert not path.exists()
+
+
+class TestReportOutputs:
+    def test_outputs_kept_but_not_part_of_the_report(self):
+        records = small_records()
+        model = build_model(make_tiny_arch(), seed=1)
+        rep = evaluate_model(model, records)
+        assert np.array_equal(rep.outputs.labels, [int(r.label) for r in records])
+        assert "outputs" not in json.loads(rep.to_json())
+        assert "outputs" not in repr(rep)
+        assert not {f.name: f for f in dataclasses.fields(rep)}["outputs"].compare
+        assert metrics(rep.confusion).outputs is None
 
 
 class TestSpeakerProbe:

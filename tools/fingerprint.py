@@ -19,6 +19,11 @@ when a checkout's tests do, so editing criterion 5 leaves these alone.
 Each hash covers the epoch-log CSV, the checkpoint bytes of the restored
 model and every Adam state entry (name, m, v, t), so any changed bit in
 training shows.
+
+The last line, `eval`, covers inference: `stutterkit eval --report
+--export-embeddings` with the mtl-0.3 checkpoint on a manifest of 150
+clips of 15-60 frames (three batches, each cropped to its shortest clip).
+Its hash covers the printed table, the report JSON and the embeddings CSV.
 BLAS is pinned to one thread; hashes are comparable within one environment.
 """
 
@@ -29,11 +34,14 @@ import os
 os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")})
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 EPOCHS = 5
+EVAL_RUN = "mtl-0.3"  # the checkpoint the eval line evaluates
 # name -> TrainConfig fields beyond the criterion-5 ones
 RUNS = {
     "baseline": dict(objective="baseline"),
@@ -71,6 +79,33 @@ def fingerprint(name, overrides, split, arch, workdir) -> str:
     return h.hexdigest()
 
 
+def eval_fingerprint(ckpt_path, workdir) -> str:
+    import numpy as np
+    from stutterkit import cli
+    from stutterkit.data import SyntheticConfig, generate_synthetic
+
+    records = generate_synthetic(SyntheticConfig(
+        n_podcasts=4, clips_per_class=30, frames=60,
+        alpha=2.0, beta=2.0, rho=0.6, sigma=0.3, seed=101))
+    rng = np.random.default_rng(101)
+    for rec in records:
+        rec.features = rec.features[:, :rng.integers(15, 61)]
+    manifest = cli._write_feature_corpus(records, os.path.join(workdir, "eval"))
+    report = os.path.join(workdir, "report.json")
+    emb = os.path.join(workdir, "emb.csv")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = cli.main(["eval", "--checkpoint", ckpt_path, "--manifest", manifest,
+                       "--report", report, "--export-embeddings", emb])
+    if rc != 0:
+        raise RuntimeError(f"stutterkit eval exited {rc}")
+    h = hashlib.sha256(printed.getvalue().replace(workdir, "<workdir>").encode())
+    for path in (report, emb):
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def main() -> int:
     src = os.path.abspath("src")
     if not os.path.isfile(os.path.join(src, "stutterkit", "__init__.py")):
@@ -89,6 +124,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, overrides in RUNS.items():
             print(f"{name:<22} {fingerprint(name, overrides, split, arch, workdir)}", flush=True)
+        ckpt = os.path.join(workdir, f"{EVAL_RUN}.ckpt")
+        print(f"{'eval':<22} {eval_fingerprint(ckpt, workdir)}", flush=True)
     return 0
 
 
