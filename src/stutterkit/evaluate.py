@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -182,14 +183,16 @@ def export_embeddings(model: MultiBranchModel, records, path, batch_size=64, *,
     elif not np.array_equal(outputs.labels, [int(rec.label) for rec in records]):
         raise LengthMismatch("outputs' labels differ from the records' labels")
     emb = outputs.embeddings
+    values = ",".join(["%.9g"] * emb.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*EMBEDDING_KEYS] + [f"e{k}" for k in range(emb.shape[1])])
-        writer.writerows(
-            [rec.clip_id, rec.podcast_id, CLASS_NAMES[rec.label]]
-            + [format(float(v), ".9g") for v in z]
-            for rec, z in zip(records, emb)
-        )
+        # csv quotes the keys as in a whole row; the values need no quoting.
+        keys = []
+        key_writer = csv.writer(SimpleNamespace(write=keys.append))
+        for rec, z in zip(records, emb):
+            key_writer.writerow([rec.clip_id, rec.podcast_id, CLASS_NAMES[rec.label]])
+            fh.write(keys.pop().removesuffix("\r\n") + "," + values % tuple(z.tolist()))
     return emb.astype(np.float32, copy=False)
 
 

@@ -51,6 +51,10 @@ PARTITION_SHORT = {"E": "encoder", "F": "fluent", "D": "disfluent", "S": "speake
 
 DEFAULT_CONTEXTS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
 
+# An eval encode runs clip groups whose widest activation fits about one L2 cache;
+# every eval op is per clip or elementwise, so grouping changes no output bit.
+EVAL_GROUP_BYTES = 2 << 20
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -106,8 +110,10 @@ class _EncoderBlock:
     def forward(self, x, train):
         y = self.tdnn.forward(x, cache=train)
         if self.bn_first:
-            return self.relu.forward(self.bn.forward(y, train, cache=train), cache=train)
-        return self.bn.forward(self.relu.forward(y, cache=train), train, cache=train)
+            y = self.bn.forward(y, train, cache=train)
+            return self.relu.forward(y, cache=train, out=None if train else y)
+        y = self.relu.forward(y, cache=train, out=None if train else y)
+        return self.bn.forward(y, train, cache=train)
 
     def backward(self, dy, input_grad=True):
         if self.bn_first:
@@ -249,7 +255,15 @@ class MultiBranchModel:
             raise ShapeMismatch(
                 f"expected (batch, {self.arch.n_mfcc}, frames), got {x.shape}"
             )
-        y = x.astype(self.dtype, copy=False)
+        x = x.astype(self.dtype, copy=False)
+        clip_bytes = max(self.arch.encoder_channels) * x.shape[2] * x.itemsize
+        group = len(x) if train else max(1, EVAL_GROUP_BYTES // (clip_bytes or 1))
+        if group >= len(x):
+            return self._encode_group(x, train)
+        return np.concatenate([self._encode_group(x[s : s + group], train)
+                               for s in range(0, len(x), group)])
+
+    def _encode_group(self, y, train):
         for block in self.encoder_blocks:
             y = block.forward(y, train)
         return self.pool.forward(y, cache=train)

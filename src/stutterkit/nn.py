@@ -204,10 +204,11 @@ class Relu(Layer):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True, out=None) -> np.ndarray:
+        """max(x, 0), into `out` if given (x itself, for an in-place ReLU)."""
         if cache:
             self._cache = x > 0
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=out)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         mask, self._cache = self._cache, None
@@ -275,7 +276,8 @@ class BatchNorm1d(Layer):
         xhat *= self._shaped(inv_std, x.ndim)
         if cache:
             self._cache = (xhat, inv_std, train, axes)
-        out = self._shaped(self.gamma.value, x.ndim) * xhat
+        # uncached, xhat is this call's own temporary: scale it in place
+        out = np.multiply(self._shaped(self.gamma.value, x.ndim), xhat, out=None if cache else xhat)
         out += self._shaped(self.beta.value, x.ndim)
         return out
 

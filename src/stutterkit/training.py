@@ -37,7 +37,7 @@ import numpy as np
 
 from . import nn
 from .data import features_of
-from .errors import EmptyBatch, InvalidConfig, NumericError
+from .errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from .model import PARTITIONS, MultiBranchModel, set_trainable, two_branch
 
 log = logging.getLogger(__name__)
@@ -330,6 +330,11 @@ def infer(model: MultiBranchModel, records, batch_size=64) -> Inference:
     """One eval-mode forward pass over records, batch_size clips per make_batch."""
     if not records:
         raise EmptyBatch("no records to evaluate")
+    need = model.arch.min_frames
+    short = [rec.clip_id for rec in records if features_of(rec).shape[1] < need]
+    if short:
+        raise InputTooShort(f"{len(short)} clip(s) shorter than the {need} frames the "
+                            f"encoder needs: {', '.join(short)}")
     batches = _batch_ranges(len(records), batch_size)
     outputs = []
     for b in batches:

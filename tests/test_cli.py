@@ -10,12 +10,13 @@ from scipy.io import wavfile
 
 from conftest import MALFORMED_DIRECTORIES, rewrite_tensor_directory
 from stutterkit import training
-from stutterkit.checkpoint import load_checkpoint
+from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.cli import CONFIG_KEYS, RunConfig, _write_feature_corpus, main
 from stutterkit.data import StutterClass, SyntheticConfig, generate_synthetic, load_manifest
 from stutterkit.errors import ConfigError
 from stutterkit.evaluate import TABLE_COLUMNS, evaluate_model, export_embeddings, read_embeddings
 from stutterkit.features import read_fmat
+from stutterkit.model import ArchConfig, build_model
 
 
 class TestRunConfig:
@@ -306,6 +307,19 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["probe", "--embeddings", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_eval_names_clips_too_short_for_the_encoder(self, tmp_path, capsys):
+        records = generate_synthetic(SyntheticConfig(
+            n_podcasts=3, clips_per_class=4, frames=30, seed=0))
+        short = records[7]
+        short.features = short.features[:, :10]
+        manifest = _write_feature_corpus(records, tmp_path / "feats")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model(ArchConfig(n_podcasts=3, encoder_channels=(8,) * 5), 0))
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "15 frames" in err
+        assert err.rstrip().endswith(short.clip_id)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
     def test_malformed_checkpoint_directory(self, trained, corpus, tmp_path, capsys, case):

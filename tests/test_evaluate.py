@@ -1,13 +1,15 @@
 """Confusion metrics, report formatting, embedding export, speaker probe."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_arch
-from stutterkit.data import SyntheticConfig, generate_synthetic
+from stutterkit.data import ClipRecord, SyntheticConfig, generate_synthetic
 from stutterkit.errors import EmptyMatrix, LengthMismatch, TooFewPodcasts
 from stutterkit.evaluate import (
     TABLE_COLUMNS,
@@ -19,8 +21,8 @@ from stutterkit.evaluate import (
     read_embeddings,
     speaker_probe,
 )
-from stutterkit.model import build_model
-from stutterkit.training import infer, make_batch
+from stutterkit.model import CLASS_NAMES, StutterClass, build_model
+from stutterkit.training import Inference, infer, make_batch
 
 
 class TestConfusion:
@@ -180,6 +182,29 @@ class TestEmbeddingExport:
         assert np.array_equal(export_embeddings(model, records, given,
                                                 outputs=report.outputs), emb)
         assert given.read_bytes() == alone.read_bytes()
+
+    def test_rows_match_per_value_csv_formatting(self, tmp_path):
+        """Byte for byte what csv.writer made of format(float(v), ".9g") per value."""
+        keys = ["plain", "a,comma", 'a "quote"', "new\nline", "cr\rlf", " pad ", ""]
+        records = [ClipRecord(f"{keys[i % 7]}{i}", keys[(i + 3) % 7], StutterClass(i % 5))
+                   for i in range(14)]
+        rng = np.random.default_rng(0)
+        scale = 10.0 ** rng.integers(-44, 38, (14, 6))  # float32 subnormals to near its max
+        emb = (rng.normal(size=(14, 6)) * scale).astype(np.float32)
+        emb[0] = [-0.0, 0.0, 1e-45, -1.1e-42, np.finfo(np.float32).max, 1.17549435e-38]
+        emb[1, :3] = [np.inf, -np.inf, np.nan]
+        labels = np.array([int(r.label) for r in records])
+        out = Inference(labels=labels, predictions=labels, embeddings=emb,
+                        fluent_logits=np.zeros((14, 2)), disfluent_logits=np.zeros((14, 4)),
+                        batches=[range(14)])
+        path = tmp_path / "emb.csv"
+        export_embeddings(None, records, path, outputs=out)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["clip_id", "podcast_id", "class"] + [f"e{k}" for k in range(6)])
+        writer.writerows([r.clip_id, r.podcast_id, CLASS_NAMES[r.label]]
+                         + [format(float(v), ".9g") for v in z] for r, z in zip(records, emb))
+        assert path.read_bytes() == want.getvalue().encode()
 
     @pytest.mark.parametrize("subset", [lambda r: r[:-1], lambda r: r[::-1]],
                              ids=["one_short", "reordered"])

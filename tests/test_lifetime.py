@@ -21,7 +21,7 @@ from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic
 from stutterkit.errors import NoPendingForward, StutterKitError
 from stutterkit.evaluate import evaluate_model, export_embeddings
-from stutterkit.model import PARTITIONS, ArchConfig, build_model
+from stutterkit.model import EVAL_GROUP_BYTES, PARTITIONS, ArchConfig, build_model
 from stutterkit.training import (TrainConfig, compute_losses, infer, make_batch,
                                  speaker_index_map, train)
 
@@ -287,3 +287,27 @@ class TestInferMemory:
         assert peak <= 7 * activation, f"peak {peak / activation:.2f} activations"
         retained = sum(trace.size for trace in arrays.traces)
         assert retained == 0, f"{retained} bytes of arrays still held after infer"
+
+
+class TestGroupedInferMemory:
+    def test_eval_peak_is_a_few_groups_whatever_the_batch(self):
+        """256 channels, 256 frames: one infer pass of g and of 4g clips, g clips per group."""
+        model = build_model(ArchConfig(n_podcasts=3, encoder_channels=(256,) * 5), seed=0)
+        clip_bytes = 256 * 256 * 4  # one clip's widest float32 activation
+        group = EVAL_GROUP_BYTES // clip_bytes
+        assert group >= 2
+        records = corpus(clips_per_class=-(-4 * group // 5), frames=256, n_mfcc=20)
+        peaks = {}
+        for n in (group, 4 * group):  # one batch each: one group, then four
+            infer(model, records[:n])  # warm-up
+            gc.collect()
+            tracemalloc.start()
+            try:
+                infer(model, records[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        activation = group * clip_bytes
+        assert peaks[group] <= 6 * activation, f"peak {peaks[group] / activation:.2f} groups"
+        assert peaks[4 * group] <= 1.1 * peaks[group], (
+            f"peak grew {peaks[4 * group] / peaks[group]:.2f}x from {group} to {4 * group} clips")

@@ -1,5 +1,7 @@
 """Model assembly: architecture validation, naming, inference rule, state."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from stutterkit.model import (
     build_model,
     set_trainable,
 )
-from stutterkit.training import TrainConfig, train
+from stutterkit.training import TrainConfig, infer, make_batch, train
 
 
 class TestArchConfig:
@@ -138,9 +140,9 @@ class TestForward:
         ok = rng.normal(size=(1, tiny_arch.n_mfcc, tiny_arch.min_frames)).astype(np.float32)
         z = model.encode(ok)
         assert z.shape == (1, tiny_arch.embedding_dim)
-        short = ok[:, :, :-1]
-        with pytest.raises(InputTooShort):
-            model.encode(short)
+        for short in (ok[:, :, :-1], ok[:, :, :0]):
+            with pytest.raises(InputTooShort):
+                model.encode(short)
 
     def test_wrong_channel_count_rejected(self, tiny_arch, rng):
         model = build_model(tiny_arch, seed=0)
@@ -167,6 +169,51 @@ class TestForward:
         changed = {k for k in after if not np.array_equal(after[k], before[k])}
         assert changed
         assert all(k.startswith("encoder.") for k in changed)
+
+
+class TestEvalGroups:
+    """An eval encode runs its batch in clip groups; no output bit depends on them."""
+
+    def setup_grouped(self, bn_before_relu):
+        """20 clips cropped to 20..40 frames, and a 16-channel model with drawn running stats."""
+        records = generate_synthetic(SyntheticConfig(
+            n_podcasts=3, clips_per_class=4, frames=40, n_mfcc=5, sigma=0.5, seed=0))
+        rng = np.random.default_rng(0)
+        for rec in records:
+            rec.features = rec.features[:, :rng.integers(20, 41)]
+        arch = dataclasses.replace(make_tiny_arch(channels=16), bn_before_relu=bn_before_relu)
+        model = build_model(arch, seed=1)
+        for name, buf in model.named_buffers().items():
+            buf[...] = (rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var")
+                        else rng.normal(0.0, 0.3, buf.shape))
+        return records, model
+
+    @pytest.mark.parametrize("bn_before_relu", [False, True])
+    def test_outputs_ignore_the_group_budget(self, monkeypatch, bn_before_relu):
+        records, model = self.setup_grouped(bn_before_relu)
+        x, _, _ = make_batch(records, range(len(records)))  # cropped to the shortest clip
+        assert x.shape[2] < max(r.features.shape[1] for r in records)
+        given = x.copy()
+        clip_bytes = 16 * x.shape[2] * 4
+        pool_forward, groups = model.pool.forward, []
+        monkeypatch.setattr(model.pool, "forward",
+                            lambda y, cache=True: groups.append(len(y)) or pool_forward(y, cache))
+        runs = {}
+        for budget, sizes in ((1, [1] * 20), (3 * clip_bytes, [3] * 6 + [2]),
+                              (10**9, [20])):
+            monkeypatch.setattr("stutterkit.model.EVAL_GROUP_BYTES", budget)
+            groups.clear()
+            z = model.encode(x)
+            assert groups == sizes
+            runs[budget] = z, infer(model, records, batch_size=8)
+        want_z, want = runs[10**9]
+        for z, out in runs.values():
+            assert np.array_equal(z, want_z)
+            for name in ("embeddings", "fluent_logits", "disfluent_logits", "predictions"):
+                assert np.array_equal(getattr(out, name), getattr(want, name)), name
+        for i in range(len(records)):  # each cropped clip, encoded on its own
+            assert np.array_equal(model.encode(x[i : i + 1])[0], want_z[i])
+        assert np.array_equal(x, given)  # the in-place ops wrote only their own arrays
 
 
 class TestTwoBranchRule:

@@ -8,9 +8,9 @@ import pytest
 from conftest import make_tiny_arch
 from stutterkit import nn, training
 from stutterkit.data import SyntheticConfig, generate_synthetic
-from stutterkit.errors import EmptyBatch, InvalidConfig, NumericError
+from stutterkit.errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from stutterkit.evaluate import confusion, evaluate_model, export_embeddings, read_embeddings
-from stutterkit.model import build_model
+from stutterkit.model import ArchConfig, build_model
 from stutterkit.training import (
     LOG_COLUMNS,
     EarlyStopper,
@@ -332,6 +332,19 @@ class TestInfer:
         path = tmp_path / "emb.csv"
         assert np.array_equal(export_embeddings(model, records, path, 7), out.embeddings)
         assert np.array_equal(read_embeddings(path)[0], out.embeddings)
+
+    def test_short_clips_named_before_any_batch(self, monkeypatch):
+        records = generate_synthetic(SyntheticConfig(
+            n_podcasts=3, clips_per_class=4, frames=30, n_mfcc=5, seed=0))
+        records[13].features = records[13].features[:, :10]
+        model = build_model(ArchConfig(n_podcasts=3, n_mfcc=5, encoder_channels=(8,) * 5), 0)
+        assert model.arch.min_frames == 15  # the default contexts
+        batches = []
+        monkeypatch.setattr(training, "make_batch", lambda *a, **k: batches.append(a))
+        with pytest.raises(InputTooShort, match=rf"1 clip\(s\) shorter than the 15 frames.*: "
+                                                rf"{records[13].clip_id}$"):
+            infer(model, records, batch_size=8)
+        assert batches == []
 
     @pytest.mark.parametrize("entry", sorted(EMPTY_ENTRY_POINTS))
     def test_empty_record_list_raises_empty_batch(self, entry, tmp_path):

@@ -20,10 +20,13 @@ Each hash covers the epoch-log CSV, the checkpoint bytes of the restored
 model and every Adam state entry (name, m, v, t), so any changed bit in
 training shows.
 
-The last line, `eval`, covers inference: `stutterkit eval --report
---export-embeddings` with the mtl-0.3 checkpoint on a manifest of 150
+The last two lines cover inference: `stutterkit eval --report
+--export-embeddings`, hashing the printed table, the report JSON and the
+embeddings CSV. `eval` runs the mtl-0.3 checkpoint on a manifest of 150
 clips of 15-60 frames (three batches, each cropped to its shortest clip).
-Its hash covers the printed table, the report JSON and the embeddings CSV.
+`eval-wide` runs a 256-channel model, trained one mtl epoch, on 100 clips
+of 150-300 frames: wide and long enough that the encoder splits each eval
+batch into clip groups (model.EVAL_GROUP_BYTES), which `eval` never does.
 BLAS is pinned to one thread; hashes are comparable within one environment.
 """
 
@@ -79,17 +82,39 @@ def fingerprint(name, overrides, split, arch, workdir) -> str:
     return h.hexdigest()
 
 
-def eval_fingerprint(ckpt_path, workdir) -> str:
+def clips(clips_per_class, min_frames, max_frames, seed):
+    """A synthetic corpus, each clip cropped to a length drawn from [min_frames, max_frames]."""
     import numpy as np
-    from stutterkit import cli
     from stutterkit.data import SyntheticConfig, generate_synthetic
 
     records = generate_synthetic(SyntheticConfig(
-        n_podcasts=4, clips_per_class=30, frames=60,
-        alpha=2.0, beta=2.0, rho=0.6, sigma=0.3, seed=101))
-    rng = np.random.default_rng(101)
+        n_podcasts=4, clips_per_class=clips_per_class, frames=max_frames,
+        alpha=2.0, beta=2.0, rho=0.6, sigma=0.3, seed=seed))
+    rng = np.random.default_rng(seed)
     for rec in records:
-        rec.features = rec.features[:, :rng.integers(15, 61)]
+        rec.features = rec.features[:, :rng.integers(min_frames, max_frames + 1)]
+    return records
+
+
+def wide_checkpoint(workdir) -> str:
+    """Save a 256-channel model after one mtl epoch on 150-300-frame clips."""
+    from stutterkit.checkpoint import save_checkpoint
+    from stutterkit.data import split_within_podcast
+    from stutterkit.model import ArchConfig, build_model
+    from stutterkit.training import TrainConfig, train
+
+    split = split_within_podcast(clips(12, 150, 300, seed=103), 0.15, seed=0)
+    model = build_model(ArchConfig(n_podcasts=4, encoder_channels=(256,) * 5), seed=0)
+    result = train(model, split.train, split.valid, TrainConfig(
+        objective="mtl", lam=0.3, max_epochs=1, batch_size=32, lr=1e-3, seed=0))
+    path = os.path.join(workdir, "wide.ckpt")
+    save_checkpoint(path, model, result.speaker_map)
+    return path
+
+
+def eval_fingerprint(ckpt_path, records, workdir) -> str:
+    from stutterkit import cli
+
     manifest = cli._write_feature_corpus(records, os.path.join(workdir, "eval"))
     report = os.path.join(workdir, "report.json")
     emb = os.path.join(workdir, "emb.csv")
@@ -125,7 +150,11 @@ def main() -> int:
         for name, overrides in RUNS.items():
             print(f"{name:<22} {fingerprint(name, overrides, split, arch, workdir)}", flush=True)
         ckpt = os.path.join(workdir, f"{EVAL_RUN}.ckpt")
-        print(f"{'eval':<22} {eval_fingerprint(ckpt, workdir)}", flush=True)
+        print(f"{'eval':<22} {eval_fingerprint(ckpt, clips(30, 15, 60, seed=101), workdir)}",
+              flush=True)
+        wide_dir = os.path.join(workdir, "wide")
+        wide = eval_fingerprint(wide_checkpoint(workdir), clips(20, 150, 300, seed=102), wide_dir)
+        print(f"{'eval-wide':<22} {wide}", flush=True)
     return 0
 
 
