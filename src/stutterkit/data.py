@@ -419,8 +419,3 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
                 )
             )
     return records
-
-
-def synthetic_patterns(cfg: SyntheticConfig):
-    """Expose the generator's class/podcast patterns (for orthogonality checks)."""
-    return _patterns(cfg, np.random.default_rng(cfg.seed))

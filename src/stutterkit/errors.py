@@ -60,10 +60,6 @@ class InvalidArch(ConfigError):
     """Architecture configuration violates its invariants."""
 
 
-class EmptySubset(ConfigError):
-    """Empty trainable-partition subset."""
-
-
 class NoPendingForward(StutterKitError):
     """Backward asked for a head that has no train-mode forward awaiting it."""
 

@@ -276,7 +276,7 @@ def speaker_probe(embeddings, podcast_ids, seed=0, steps=200, lr=1e-2,
         g = grads / x_tr.shape[0]
         w.grad[...] = g.T @ x_tr
         b.grad[...] = g.sum(axis=0)
-        opt.step({"w": w, "b": b}, lambda name: True)
+        opt.step({"w": w, "b": b})
 
     pred = np.argmax(emb[test_idx] @ w.value.T + b.value, axis=1)
     return ProbeResult(

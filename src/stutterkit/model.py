@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import nn
-from .errors import EmptySubset, InvalidArch, NoPendingForward, ShapeMismatch
+from .errors import InvalidArch, NoPendingForward, ShapeMismatch
 
 
 class StutterClass(IntEnum):
@@ -46,8 +46,6 @@ DISFLUENT_CLASSES = (
 )
 
 PARTITIONS = ("encoder", "fluent", "disfluent", "speaker")
-# Shorthand used by training schedules: E=encoder, F/D=stutter heads, S=speaker.
-PARTITION_SHORT = {"E": "encoder", "F": "fluent", "D": "disfluent", "S": "speaker"}
 
 DEFAULT_CONTEXTS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
 
@@ -187,8 +185,9 @@ class MultiBranchModel:
 
     Every Param is a view into one value buffer and one grad buffer, owned
     by the `arena` Param and laid out in sorted-name order, so each partition is one
-    contiguous slice. The constructor leaves the arena zeroed and draws
-    nothing: build_model draws initial values, load_snapshot restores saved ones.
+    contiguous slice: `partitions` maps each of PARTITIONS to a Param over it,
+    which is what the optimizer steps. The constructor leaves the arena zeroed and
+    draws nothing: build_model draws initial values, load_snapshot restores saved ones.
     """
 
     def __init__(self, arch: ArchConfig, dtype=np.float32):
@@ -219,6 +218,14 @@ class MultiBranchModel:
         }
         self._params = MappingProxyType(dict(sorted(named.items())))
         self.arena = nn.arena(self._params.values(), dtype)
+        parts, start = {}, 0
+        for part in sorted(PARTITIONS):
+            stop = start + sum(p.value.size for name, p in self._params.items()
+                               if name.startswith(f"{part}."))
+            parts[part] = nn.Param(value=self.arena.value[start:stop],
+                                   grad=self.arena.grad[start:stop])
+            start = stop
+        self.partitions = MappingProxyType(parts)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -240,9 +247,6 @@ class MultiBranchModel:
             for bname, b in layer.buffers().items():
                 out[f"{prefix}.{bname}"] = b
         return out
-
-    def partition_of(self, name: str) -> str:
-        return name.split(".", 1)[0]
 
     def zero_grads(self):
         self.arena.grad.fill(0.0)
@@ -381,21 +385,3 @@ def build_model(arch: ArchConfig, seed: int, dtype=np.float32) -> MultiBranchMod
         layer.init_params(rng)
     return model
 
-
-def set_trainable(subset):
-    """Turn a subset of {E, F, D, S} (or full partition names) into a name mask.
-
-    Returns (partition set, predicate over parameter names). Optimizer steps
-    touch only names the predicate accepts; everything else stays bit-frozen.
-    """
-    parts = set()
-    for s in subset:
-        if s in PARTITION_SHORT:
-            parts.add(PARTITION_SHORT[s])
-        elif s in PARTITIONS:
-            parts.add(s)
-        else:
-            raise EmptySubset(f"unknown partition {s!r}")
-    if not parts:
-        raise EmptySubset("trainable subset must not be empty")
-    return parts, lambda name: name.split(".", 1)[0] in parts

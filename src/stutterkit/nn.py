@@ -16,7 +16,7 @@ tensors are (batch, features). Kernels are deterministic pure functions of
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,12 @@ class Param:
     """A learnable tensor and its accumulated gradient.
 
     A Param placed by `arena` is a view into the flat value and grad buffers
-    of its `arena` Param, from element `start` on. Mutate value and grad in
-    place: rebinding either detaches it from the buffers its optimizer updates.
+    the arena owns. Mutate value and grad in place: rebinding either detaches
+    it from the buffers its optimizer updates.
     """
 
     value: np.ndarray
     grad: np.ndarray
-    arena: "Param | None" = field(default=None, repr=False)
-    start: int = 0
 
     @classmethod
     def zeros_like(cls, value: np.ndarray) -> "Param":
@@ -69,7 +67,6 @@ def arena(params, dtype) -> Param:
         stop = start + p.value.size
         p.value = flat.value[start:stop].reshape(p.value.shape)
         p.grad = flat.grad[start:stop].reshape(p.value.shape)
-        p.arena, p.start = flat, start
         start = stop
     return flat
 
@@ -402,15 +399,12 @@ def softmax_cross_entropy(logits: np.ndarray, target):
 
 
 class Adam:
-    """Bias-corrected Adam (Kingma & Ba 2015) with per-parameter state and step counts.
+    """Bias-corrected Adam (Kingma & Ba 2015) with one state per key.
 
-    Only parameters whose names are passed as trainable are touched; anything
-    else keeps its bits, its moments, and its step count. Trainable params
-    that sit next to each other in one arena and share a step count form a
-    run, and each run is updated by a few vector ops over its slice of the
-    arena; a param outside any arena is an arena of its own, from 0. The
-    moments of an arena's params are views into flat buffers laid out like
-    the arena.
+    step updates every Param it is handed, in place, and keeps one
+    {"m", "v", "t"} state per key, its moments shaped like the Param's value.
+    A Param left out of a step keeps its bits, and its key its moments and
+    step count; reset forgets one key, so its next step starts from t = 1.
     """
 
     def __init__(self, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -419,50 +413,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.state: dict[str, dict] = {}
-        self._moments: dict[Param, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _fresh_state(self, p: Param) -> dict:
-        owner = p.arena or p
-        if owner not in self._moments:
-            self._moments[owner] = (np.zeros(owner.value.size, owner.value.dtype),
-                                    np.zeros(owner.value.size, owner.value.dtype))
-        here = slice(p.start, p.start + p.value.size)
-        m, v = (flat[here].reshape(p.value.shape) for flat in self._moments[owner])
-        m[...] = 0.0
-        v[...] = 0.0
-        return {"m": m, "v": v, "t": 0}
-
-    def step(self, named_params: Mapping[str, Param], trainable) -> None:
-        """Apply one update to every named param for which trainable(name)."""
-        runs = []  # [owner, first param's state, start, stop, states]
-        for name, p in named_params.items():
-            if not trainable(name):
-                continue
+    def step(self, params: Mapping[str, Param]) -> None:
+        """Apply one update to every Param in params, each under its own key's state."""
+        for key, p in params.items():
             if p.grad.shape != p.value.shape:
-                raise ShapeMismatch(f"{name}: grad shape {p.grad.shape} vs {p.value.shape}")
-            st = self.state.get(name)
+                raise ShapeMismatch(f"{key}: grad shape {p.grad.shape} vs {p.value.shape}")
+            st = self.state.get(key)
             if st is None:
-                st = self.state[name] = self._fresh_state(p)
-            owner = p.arena or p
-            run = runs[-1] if runs else None
-            if (run is not None and owner is run[0] and p.start == run[3]
-                    and st["t"] == run[1]["t"]):
-                run[3] += p.value.size
-                run[4].append(st)
-            else:
-                runs.append([owner, st, p.start, p.start + p.value.size, [st]])
-        for owner, st, start, stop, states in runs:
-            t = st["t"] + 1
-            value, grad = owner.value, owner.grad
-            m, v = self._moments[owner]
-            if value.ndim == 1:
-                here = slice(start, stop)
-                value, grad, m, v = value[here], grad[here], m[here], v[here]
-            else:  # a standalone param, one run: shape its moments, never copy its value
-                m, v = m.reshape(value.shape), v.reshape(value.shape)
-            self._update(value, grad, m, v, t)
-            for s in states:
-                s["t"] = t
+                st = self.state[key] = {"m": np.zeros_like(p.value),
+                                        "v": np.zeros_like(p.value), "t": 0}
+            st["t"] += 1
+            self._update(p.value, p.grad, st["m"], st["v"], st["t"])
 
     def _update(self, value, g, m, v, t) -> None:
         """One update in place; each op rounds as the per-parameter expression does."""
@@ -480,7 +442,6 @@ class Adam:
         step /= denom
         value -= step
 
-    def reset(self, selected) -> None:
-        """Forget the moments and step count of every param for which selected(name)."""
-        for name in [name for name in self.state if selected(name)]:
-            del self.state[name]
+    def reset(self, key: str) -> None:
+        """Forget the moments and step count kept under key."""
+        self.state.pop(key, None)

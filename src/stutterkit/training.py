@@ -38,7 +38,7 @@ import numpy as np
 from . import nn
 from .data import features_of
 from .errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
-from .model import PARTITIONS, MultiBranchModel, set_trainable, two_branch
+from .model import PARTITIONS, MultiBranchModel, two_branch
 
 log = logging.getLogger(__name__)
 
@@ -86,8 +86,12 @@ class TrainConfig:
             raise InvalidConfig(f"lambda must be in [0, 1], got {self.lam}")
         if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise InvalidConfig("max_epochs, batch_size and patience must be >= 1")
-        if self.lr <= 0 or self.min_delta < 0:
-            raise InvalidConfig("lr must be > 0 and min_delta >= 0")
+        if not (0 < self.lr < np.inf and 0 <= self.min_delta < np.inf):
+            raise InvalidConfig(f"lr must be finite and > 0 and min_delta finite and >= 0, "
+                                f"got lr={self.lr} min_delta={self.min_delta}")
+        if len(self.stage_bounds) != 3:
+            raise InvalidConfig(f"stage_bounds must be three epochs b1, b2, b3, "
+                                f"got {self.stage_bounds}")
         b1, b2, b3 = self.stage_bounds
         if not (0 < b1 < b2 < b3):
             raise InvalidConfig(f"stage bounds must increase, got {self.stage_bounds}")
@@ -434,14 +438,14 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
             stage = stage_at(cfg, epoch)
             lam = lambda_at(cfg, epoch)
             parts = trainable_partitions(cfg, stage)
-            _, name_ok = set_trainable(parts)
             weight = STAGES[stage].head_weights(lam)
             reversal = STAGES[stage].reversal
             for part in parts:
                 loss = descended_loss(stage, part)
                 if last_loss.get(part, loss) != loss:
-                    opt.reset(lambda name, part=part: model.partition_of(name) == part)
+                    opt.reset(part)
                 last_loss[part] = loss
+            stepped = {part: model.partitions[part] for part in PARTITIONS if part in parts}
 
             order = np.random.default_rng([cfg.seed, epoch, 0]).permutation(n)
             drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
@@ -465,7 +469,7 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
                 model.backward(*(weight[h] * grads[h] if h in parts else None
                                  for h in ("fluent", "disfluent", "speaker")))
-                opt.step(model.named_params(), name_ok)
+                opt.step(stepped)
 
                 sum_f += losses.l_fluent * losses.n
                 sum_d += losses.l_disfluent * losses.n_disfluent

@@ -139,7 +139,8 @@ class ReferenceAdam:
     """Adam as one loop over named params, each with its own state dict.
 
     The optimizer's arithmetic written per parameter, with fresh arrays at
-    every step; nn.Adam must match it bit for bit, runs and arenas and all.
+    every step; nn.Adam must match it bit for bit, also when it steps a whole
+    partition's arena slice under one key.
     """
 
     def __init__(self, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):

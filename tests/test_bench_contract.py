@@ -17,7 +17,7 @@ from conftest import make_tiny_arch
 from stutterkit import cli, nn, training
 from stutterkit.checkpoint import save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
-from stutterkit.model import PARTITIONS, build_model, set_trainable
+from stutterkit.model import PARTITIONS, build_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,7 +62,7 @@ def test_instrument_model_and_restore(bench):
         x = np.random.default_rng(0).normal(size=(4, arch.n_mfcc, 12)).astype(np.float32)
         _, lf, ld, ls = model.forward(x, train=frozenset(PARTITIONS), rng=np.random.default_rng(1))
         model.backward(lf, ld, ls)
-        nn.Adam().step(model.named_params(), set_trainable("EFDS")[1])
+        nn.Adam().step(model.partitions)
         model.encode(x)
         model.snapshot()
     finally:

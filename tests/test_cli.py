@@ -279,6 +279,14 @@ class TestExitCodes:
                    "--set", "split.mode=sideways"] + ARCH_ARGS)
         assert rc == 1
 
+    def test_two_stage_bounds_is_config_error(self, corpus, tmp_path, capsys):
+        rc = main(["train", "--manifest", str(corpus / "manifest.csv"),
+                   "--out", str(tmp_path / "m.ckpt"), "--set", "train.stage_bounds=1,2"]
+                  + TRAIN_ARGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_manifest(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "m.ckpt")])

@@ -8,6 +8,7 @@ from stutterkit.data import (
     ClipRecord,
     SyntheticConfig,
     _largest_remainder,
+    _patterns,
     adapt_annotation_table,
     adapt_sep28k,
     features_of,
@@ -17,7 +18,6 @@ from stutterkit.data import (
     parse_label,
     split_by_podcast,
     split_within_podcast,
-    synthetic_patterns,
     write_manifest,
 )
 from stutterkit.errors import (
@@ -358,7 +358,7 @@ class TestSyntheticCorpus:
 
     def test_pattern_geometry(self):
         cfg = SyntheticConfig(n_podcasts=4, seed=3)
-        a, b_perp, b_par = synthetic_patterns(cfg)
+        a, b_perp, b_par = _patterns(cfg, np.random.default_rng(cfg.seed))
         assert np.allclose(a @ a.T, np.eye(5), atol=1e-12)
         assert np.allclose(b_perp @ b_perp.T, np.eye(4), atol=1e-12)
         assert np.allclose(b_perp @ a.T, 0.0, atol=1e-12)

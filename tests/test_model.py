@@ -7,7 +7,7 @@ import pytest
 
 from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
-from stutterkit.errors import EmptySubset, InputTooShort, InvalidArch, ShapeMismatch
+from stutterkit.errors import InputTooShort, InvalidArch, ShapeMismatch
 from conftest import make_tiny_arch
 from stutterkit.model import (
     CLASS_INITIALS,
@@ -18,7 +18,6 @@ from stutterkit.model import (
     MultiBranchModel,
     StutterClass,
     build_model,
-    set_trainable,
 )
 from stutterkit.training import TrainConfig, infer, make_batch, train
 
@@ -65,7 +64,7 @@ class TestArchConfig:
 def partition_sizes(model):
     sizes = dict.fromkeys(PARTITIONS, 0)
     for name, p in model.named_params().items():
-        sizes[model.partition_of(name)] += p.value.size
+        sizes[name.split(".", 1)[0]] += p.value.size
     return sizes
 
 
@@ -73,7 +72,7 @@ class TestNaming:
     def test_every_param_lives_in_a_partition(self, tiny_arch):
         model = build_model(tiny_arch, seed=0)
         for name in model.named_params():
-            assert model.partition_of(name) in PARTITIONS
+            assert name.split(".", 1)[0] in PARTITIONS
 
     def test_expected_names_present(self, tiny_arch):
         model = build_model(tiny_arch, seed=0)
@@ -287,21 +286,6 @@ class TestGradientReversalWiring:
             assert np.array_equal(got, -0.5 * g), name
 
 
-class TestTrainableSubsets:
-    def test_letters_and_names_accepted(self):
-        parts, accept = set_trainable({"E", "speaker"})
-        assert parts == {"encoder", "speaker"}
-        assert accept("encoder.l1.tdnn.weight")
-        assert accept("speaker.out.bias")
-        assert not accept("fluent.fc1.weight")
-
-    def test_empty_or_unknown_rejected(self):
-        with pytest.raises(EmptySubset):
-            set_trainable(set())
-        with pytest.raises(EmptySubset):
-            set_trainable({"Q"})
-
-
 class TestSnapshots:
     def test_roundtrip_restores_bits(self, tiny_arch, rng):
         model = build_model(tiny_arch, seed=0)
@@ -335,17 +319,26 @@ class TestSnapshots:
 
 
 def assert_params_in_arena(model):
-    """Every Param's value and grad are the arena slices its sorted-name place gives."""
-    start = 0
-    assert list(model.named_params()) == sorted(model.named_params())
-    for name, p in model.named_params().items():
-        stop = start + p.value.size
-        assert p.arena is model.arena and p.start == start, name
+    """Every Param's value and grad are the arena slices its sorted-name place gives,
+    and model.partitions tile the arena in sorted-partition order."""
+    def assert_at(name, p, start, stop):
         for view, flat in ((p.value, model.arena.value), (p.grad, model.arena.grad)):
             assert view.flags.c_contiguous and view.base is flat.base, name
             assert view.ctypes.data == flat[start:stop].ctypes.data, name
-        start = stop
+            assert view.size == stop - start, name
+
+    start = 0
+    assert list(model.named_params()) == sorted(model.named_params())
+    for name, p in model.named_params().items():
+        assert_at(name, p, start, start + p.value.size)
+        start += p.value.size
     assert start == model.arena.value.size == model.arena.grad.size
+    start, sizes = 0, partition_sizes(model)
+    assert list(model.partitions) == sorted(PARTITIONS)
+    for part, p in model.partitions.items():
+        assert_at(part, p, start, start + sizes[part])
+        start += sizes[part]
+    assert start == model.arena.value.size
 
 
 class TestArena:

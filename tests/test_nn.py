@@ -12,7 +12,7 @@ from stutterkit.errors import (
     NonDeterministicLoss,
     ShapeMismatch,
 )
-from stutterkit.model import ArchConfig, build_model, set_trainable
+from stutterkit.model import PARTITIONS, ArchConfig, build_model
 
 
 def bits(a):
@@ -290,14 +290,14 @@ class TestAdam:
         xs = []
         for g in grads:
             p.grad[...] = g
-            opt.step({"x": p}, lambda name: True)
+            opt.step({"x": p})
             xs.append(float(p.value[0]))
         np.testing.assert_allclose(xs, hand_adam_steps(grads, lr=1e-2), atol=1e-12)
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the first update exactly lr * sign(g)
         p = nn.Param(value=np.array([1.0]), grad=np.array([42.0]))
-        nn.Adam(lr=0.05).step({"x": p}, lambda name: True)
+        nn.Adam(lr=0.05).step({"x": p})
         assert abs(p.value[0] - (1.0 - 0.05)) < 1e-9
 
     def test_frozen_params_keep_bits_and_state(self, rng):
@@ -308,7 +308,7 @@ class TestAdam:
         for _ in range(3):
             a.grad[...] = rng.normal(size=3)
             b.grad[...] = rng.normal(size=3)
-            opt.step({"a": a, "b": b}, lambda name: name == "a")
+            opt.step({"a": a})
         assert np.array_equal(b.value, before)
         assert "b" not in opt.state
         assert opt.state["a"]["t"] == 3
@@ -316,15 +316,15 @@ class TestAdam:
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T],
                              ids=["strided", "transposed"])
     def test_standalone_views_update_in_place(self, rng, view):
-        # a standalone Param is an arena of its own; its value here is a
-        # view no flat view covers, which must be updated where it lives
+        # a Param's value may be a view that no flat view covers; it must be
+        # updated where it lives
         base = rng.normal(size=(4, 6))
         p = nn.Param(value=view(base), grad=np.empty(view(base).shape))
         ref = nn.Param(value=view(base).copy(), grad=np.empty(view(base).shape))
         opt, ref_opt = nn.Adam(lr=3e-3), ReferenceAdam(lr=3e-3)
         for _ in range(3):
             p.grad[...] = ref.grad[...] = rng.normal(size=p.value.shape)
-            opt.step({"p": p}, lambda name: True)
+            opt.step({"p": p})
             ref_opt.step({"p": ref}, lambda name: True)
         assert bits(view(base)) == bits(ref.value)
         assert bits(opt.state["p"]["m"]) == bits(ref_opt.state["p"]["m"])
@@ -333,12 +333,13 @@ class TestAdam:
     def test_shape_guard(self):
         p = nn.Param(value=np.zeros(3), grad=np.zeros(4))
         with pytest.raises(ShapeMismatch):
-            nn.Adam().step({"p": p}, lambda name: True)
+            nn.Adam().step({"p": p})
 
 
 class TestAdamOracle:
-    """The arena update against the per-parameter loop, over adv-like stages."""
+    """The per-partition update against the per-parameter loop, over adv-like stages."""
 
+    PART = dict(zip("EFDS", PARTITIONS))
     # (trainable partitions, partitions whose moments restart as the stage begins)
     STAGES = [("ES", ""), ("EFD", "E"), ("EFDS", "E"), ("FD", ""), ("EFDS", "ES")]
 
@@ -347,30 +348,33 @@ class TestAdamOracle:
         arch = ArchConfig(n_podcasts=4, encoder_channels=(32,) * 5, head_hidden=(32, 32))
         model = build_model(arch, seed=0, dtype=dtype)
         named = model.named_params()
+        names_of = {part: [name for name in named if name.startswith(f"{part}.")]
+                    for part in PARTITIONS}
         ref_params = {name: nn.Param(value=p.value.copy(), grad=np.empty_like(p.value))
                       for name, p in named.items()}
         opt, ref = nn.Adam(lr=3e-3), ReferenceAdam(lr=3e-3)
         rng = np.random.default_rng(7)
         for trainable, restart in self.STAGES:
-            _, name_ok = set_trainable(trainable)
-            if restart:
-                _, restarts = set_trainable(restart)
-                opt.reset(restarts)
-                ref.reset(restarts)
+            parts = {self.PART[c] for c in trainable}
+            restarts = {self.PART[c] for c in restart}
+            for part in restarts:
+                opt.reset(part)
+            ref.reset(lambda name: name.split(".", 1)[0] in restarts)
             for _ in range(4):
                 for name, p in named.items():
                     p.grad[...] = rng.normal(scale=0.1, size=p.grad.shape)
                     ref_params[name].grad[...] = p.grad
-                opt.step(named, name_ok)
-                ref.step(ref_params, name_ok)
-            assert opt.state.keys() == ref.state.keys()
+                opt.step({part: model.partitions[part] for part in parts})
+                ref.step(ref_params, lambda name: name.split(".", 1)[0] in parts)
+            assert opt.state.keys() == {name.split(".", 1)[0] for name in ref.state}
             for name, p in named.items():
                 assert bits(p.value) == bits(ref_params[name].value), name
-            for name, st in opt.state.items():
-                want = ref.state[name]
-                assert st["t"] == want["t"], name
-                assert bits(st["m"]) == bits(want["m"]), name
-                assert bits(st["v"]) == bits(want["v"]), name
+            for part, st in opt.state.items():
+                want = [ref.state[name] for name in names_of[part]]
+                assert {w["t"] for w in want} == {st["t"]}, part
+                for key in ("m", "v"):
+                    flat = np.concatenate([w[key].ravel() for w in want])
+                    assert bits(st[key]) == bits(flat), (part, key)
         # the final stage left the encoder and speaker head behind the stutter heads
         assert len({st["t"] for st in opt.state.values()}) == 2
 

@@ -17,8 +17,12 @@ architecture the size of criterion 5's (tests/test_acceptance.py). The
 script pins its own copy of them on purpose: a fingerprint must not move
 when a checkout's tests do, so editing criterion 5 leaves these alone.
 Each hash covers the epoch-log CSV, the checkpoint bytes of the restored
-model and every Adam state entry (name, m, v, t), so any changed bit in
-training shows.
+model and the Adam state, so any changed bit in training shows. The state
+is hashed by partition, the part of each state key before its first ".":
+the partition's name and its one step count t, then the m bytes and the v
+bytes of its keys in sorted-key order. State kept per parameter name and
+state kept per partition thus hash alike when their moments agree, so
+checkouts on either side of that change compare.
 
 The last two lines cover inference: `stutterkit eval --report
 --export-embeddings`, hashing the printed table, the report JSON and the
@@ -75,10 +79,17 @@ def fingerprint(name, overrides, split, arch, workdir) -> str:
     for path in (log_path, ckpt_path):
         with open(path, "rb") as fh:
             h.update(fh.read())
-    for pname, st in sorted(result.optimizer.state.items()):
-        h.update(f"{pname} t={st['t']}".encode())
-        h.update(st["m"].tobytes())
-        h.update(st["v"].tobytes())
+    groups = {}
+    for key, st in sorted(result.optimizer.state.items()):
+        groups.setdefault(key.split(".", 1)[0], []).append(st)
+    for part, states in groups.items():
+        steps = {st["t"] for st in states}
+        if len(steps) != 1:
+            raise RuntimeError(f"{part}: keys at different step counts {sorted(steps)}")
+        h.update(f"{part} t={steps.pop()}".encode())
+        for moment in ("m", "v"):
+            for st in states:
+                h.update(st[moment].tobytes())
     return h.hexdigest()
 
 
