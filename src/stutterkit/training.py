@@ -145,22 +145,23 @@ def stage_at(cfg: TrainConfig, epoch: int) -> str:
 
 
 def lambda_at(cfg: TrainConfig, epoch: int) -> float:
-    """Speaker-loss weight at a given epoch.
+    """Speaker-loss weight at a given epoch, as a Python float.
 
     fixed: the configured constant. decay10: 10^(-epoch), so 1 at epoch 0.
     sigmoid_ramp: 2 / (1 + exp(-gamma * p)) - 1 with p = epoch / max_epochs,
     rising from 0 toward 1; the paper-sign variant uses +gamma * p and decays
-    from 0 toward -1 instead.
+    from 0 toward -1 instead. Never a numpy scalar: numpy 2 promotes a float32
+    gradient times an np.float64 to float64, so the backward would run in double.
     """
     if cfg.objective == "baseline":
         return 0.0
     if cfg.lambda_schedule == "fixed":
-        return cfg.lam
+        return float(cfg.lam)
     if cfg.lambda_schedule == "decay10":
         return 10.0 ** (-epoch)
     p = epoch / cfg.max_epochs
     sign = 1.0 if cfg.sigmoid_paper_sign else -1.0
-    return 2.0 / (1.0 + np.exp(sign * cfg.gamma * p)) - 1.0
+    return float(2.0 / (1.0 + np.exp(sign * cfg.gamma * p)) - 1.0)
 
 
 def trainable_partitions(cfg: TrainConfig, stage: str) -> frozenset:

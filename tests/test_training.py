@@ -152,6 +152,31 @@ class TestLambdaSchedule:
         )
         assert lambda_at(cfg, 50) == pytest.approx(-np.tanh(2.5), abs=1e-12)
 
+    @pytest.mark.parametrize("schedule", ["fixed", "decay10", "sigmoid_ramp"])
+    def test_is_a_python_float(self, schedule):
+        cfg = TrainConfig(objective="mtl", lambda_schedule=schedule, max_epochs=10)
+        assert all(type(lambda_at(cfg, epoch)) is float for epoch in range(3))
+
+    @pytest.mark.parametrize("objective", ["mtl", "adv"])
+    def test_encoder_backward_stays_float32(self, monkeypatch, objective):
+        """A numpy-scalar lambda would promote the head gradients, and the encoder's, to float64."""
+        dtypes = set()
+        tdnn_backward = nn.TdnnLayer.backward
+
+        def spy(self, dy, input_grad=True):
+            dtypes.add(dy.dtype)
+            return tdnn_backward(self, dy, input_grad)
+
+        monkeypatch.setattr(nn.TdnnLayer, "backward", spy)
+        stages = []
+        records = tiny_corpus()
+        cfg = TrainConfig(objective=objective, lambda_schedule="sigmoid_ramp", max_epochs=4,
+                          batch_size=8, lr=1e-2, stage_bounds=(1, 2, 3))
+        train(build_model(make_tiny_arch(), seed=0), records[::2], records[1::2], cfg,
+              callback=lambda rec, model: stages.append(rec.stage))
+        assert "joint_grl" in stages or objective == "mtl"
+        assert dtypes == {np.dtype(np.float32)}
+
 
 class TestComputeLosses:
     def test_fluent_binary_hand_value(self):
