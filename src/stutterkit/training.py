@@ -89,6 +89,8 @@ class TrainConfig:
         if not (0 < self.lr < np.inf and 0 <= self.min_delta < np.inf):
             raise InvalidConfig(f"lr must be finite and > 0 and min_delta finite and >= 0, "
                                 f"got lr={self.lr} min_delta={self.min_delta}")
+        if not np.isfinite(self.gamma):
+            raise InvalidConfig(f"gamma must be finite, got {self.gamma}")
         if len(self.stage_bounds) != 3:
             raise InvalidConfig(f"stage_bounds must be three epochs b1, b2, b3, "
                                 f"got {self.stage_bounds}")

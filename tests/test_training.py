@@ -64,6 +64,8 @@ class TestTrainConfig:
             {"lr": float("inf")},
             {"min_delta": float("nan")},
             {"min_delta": float("inf")},
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
         ],
     )
     def test_bad_config_rejected(self, kw):
