@@ -109,15 +109,16 @@ class _EncoderBlock:
         y = self.tdnn.forward(x, cache=train)
         if self.bn_first:
             y = self.bn.forward(y, train, cache=train)
-            return self.relu.forward(y, cache=train, out=None if train else y)
-        y = self.relu.forward(y, cache=train, out=None if train else y)
+            return self.relu.forward(y, cache=train, out=y)
+        y = self.relu.forward(y, cache=train, out=y)
         return self.bn.forward(y, train, cache=train)
 
     def backward(self, dy, input_grad=True):
+        # dy is always the model's own: the pool's or the next block's input gradient
         if self.bn_first:
-            dy = self.bn.backward(self.relu.backward(dy))
+            dy = self.bn.backward(self.relu.backward(dy, out=dy), out=dy)
         else:
-            dy = self.relu.backward(self.bn.backward(dy))
+            dy = self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
         return self.tdnn.backward(dy, input_grad)
 
     def layers(self):

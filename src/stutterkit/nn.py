@@ -207,9 +207,10 @@ class Relu(Layer):
             self._cache = x > 0
         return np.maximum(x, 0, out=out)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
+        """dy where the input was positive, else 0; into `out` if given (dy itself)."""
         mask, self._cache = self._cache, None
-        return dy * mask
+        return np.multiply(dy, mask, out=out)
 
 
 class BatchNorm1d(Layer):
@@ -258,7 +259,8 @@ class BatchNorm1d(Layer):
                 )
             mean = _mean_of_sum(x.sum(axis=axes, keepdims=True), count)
             xhat = x - mean
-            var = _mean_of_sum(np.square(xhat).sum(axis=axes), count)
+            out = np.square(xhat)  # this call's own temporary: the output goes here
+            var = _mean_of_sum(out.sum(axis=axes), count)
             mean = mean.reshape(self.channels)
             self.running_mean[...] = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
@@ -269,16 +271,17 @@ class BatchNorm1d(Layer):
         else:
             xhat = x - self._shaped(self.running_mean, x.ndim)
             var = self.running_var
+            out = None if cache else xhat  # uncached, xhat is only this call's temporary
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= self._shaped(inv_std, x.ndim)
         if cache:
             self._cache = (xhat, inv_std, train, axes)
-        # uncached, xhat is this call's own temporary: scale it in place
-        out = np.multiply(self._shaped(self.gamma.value, x.ndim), xhat, out=None if cache else xhat)
+        out = np.multiply(self._shaped(self.gamma.value, x.ndim), xhat, out=out)
         out += self._shaped(self.beta.value, x.ndim)
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
+        """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
         (xhat, inv_std, train, axes), self._cache = self._cache, None
         sum_dy_xhat = (dy * xhat).sum(axis=axes)
         sum_dy = dy.sum(axis=axes)
@@ -286,10 +289,11 @@ class BatchNorm1d(Layer):
         self.beta.grad += sum_dy
         g = self._shaped(self.gamma.value * inv_std, dy.ndim)
         if not train:
-            return dy * g
+            return np.multiply(dy, g, out=out)
         count = dy.size // self.channels
-        dx = dy - self._shaped(_mean_of_sum(sum_dy, count), dy.ndim)
-        dx -= xhat * self._shaped(_mean_of_sum(sum_dy_xhat, count), dy.ndim)
+        dx = np.subtract(dy, self._shaped(_mean_of_sum(sum_dy, count), dy.ndim), out=out)
+        xhat *= self._shaped(_mean_of_sum(sum_dy_xhat, count), dy.ndim)
+        dx -= xhat
         dx *= g
         return dx
 
@@ -314,19 +318,20 @@ class StatPool(Layer):
         if x.ndim != 3:
             raise ShapeMismatch(f"expected (batch, channels, frames), got {x.shape}")
         mu = x.mean(axis=2)
-        centered = x - mu[:, :, None]
-        std = np.sqrt((centered**2).mean(axis=2) + self.eps)
+        sq = x - mu[:, :, None]
+        std = np.sqrt(np.square(sq, out=sq).mean(axis=2) + self.eps)
         if cache:
-            self._cache = (centered, std, x.shape[2])
+            self._cache = (x, mu, std)
         return np.concatenate([mu, std], axis=1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        (centered, std, t), self._cache = self._cache, None
-        c = centered.shape[1]
-        dmu = dy[:, :c]
-        dstd = dy[:, c:]
-        dx = np.broadcast_to(dmu[:, :, None] / t, centered.shape).copy()
-        dx += dstd[:, :, None] * centered / (t * std[:, :, None])
+        (x, mu, std), self._cache = self._cache, None
+        c, t = x.shape[1:]
+        dx = x - mu[:, :, None]  # x - mu again, rounded as forward rounded it
+        del x
+        dx *= dy[:, c:, None]
+        dx /= t * std[:, :, None]
+        dx += dy[:, :c, None] / t
         return dx
 
 

@@ -162,10 +162,14 @@ class TdnnCase(Case):
 
 
 class LinearReluChainCase(Case):
-    """linear -> relu -> linear -> CE; validates both linears and relu backward."""
+    """linear -> relu -> linear -> CE; validates both linears and relu backward.
 
-    def __init__(self, dtype, seed=0):
+    in_place: relu backward writes into its incoming gradient (out=dy).
+    """
+
+    def __init__(self, dtype, in_place=False, seed=0):
         rng = np.random.default_rng(seed)
+        self.in_place = in_place
         self.l1 = nn.Linear(4, 5, rng, dtype=dtype)
         self.relu = nn.Relu()
         self.l2 = nn.Linear(5, 3, rng, dtype=dtype)
@@ -181,16 +185,21 @@ class LinearReluChainCase(Case):
         zero_grad(self.l1, self.l2)
         logits = self.l2.forward(self.relu.forward(self.l1.forward(self.inputs["x"])))
         losses, grads = nn.softmax_cross_entropy(logits, self.targets)
-        self.l1.backward(self.relu.backward(self.l2.backward(grads / len(self.targets))))
+        dh = self.l2.backward(grads / len(self.targets))
+        self.l1.backward(self.relu.backward(dh, out=dh if self.in_place else None))
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 
 class BatchNormCase(Case):
-    """Train-mode batch norm inside a chain, flat or temporal input."""
+    """Train-mode batch norm inside a chain, flat or temporal input.
 
-    def __init__(self, dtype, temporal=False, seed=0):
+    in_place: batch norm backward writes into its incoming gradient (out=dy).
+    """
+
+    def __init__(self, dtype, temporal=False, in_place=False, seed=0):
         rng = np.random.default_rng(seed)
         self.temporal = temporal
+        self.in_place = in_place
         self.bn = nn.BatchNorm1d(3, dtype=dtype)
         self.out = nn.Linear(3, 2, rng, dtype=dtype)
         shape = (2, 3, 7) if temporal else (6, 3)
@@ -214,7 +223,7 @@ class BatchNormCase(Case):
             dy = np.ascontiguousarray(dy, dtype=y.dtype)
         else:
             dy = dflat
-        self.bn.backward(dy)
+        self.bn.backward(dy, out=dy if self.in_place else None)
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 
@@ -395,8 +404,11 @@ LAYER_CASES = [
     ("tdnn_context_d2", TdnnCase, {"offsets": (-2, 0, 2)}),
     ("tdnn_context_d3", TdnnCase, {"offsets": (-3, 0, 3)}),
     ("linear_relu_chain", LinearReluChainCase, {}),
+    ("linear_relu_chain_in_place", LinearReluChainCase, {"in_place": True}),
     ("batchnorm_flat", BatchNormCase, {"temporal": False}),
     ("batchnorm_temporal", BatchNormCase, {"temporal": True}),
+    ("batchnorm_flat_in_place", BatchNormCase, {"temporal": False, "in_place": True}),
+    ("batchnorm_temporal_in_place", BatchNormCase, {"temporal": True, "in_place": True}),
     ("statpool_chain", StatPoolCase, {}),
     ("softmax_ce", SoftmaxCECase, {}),
     ("grl_downstream", GrlCase, {"side": "down"}),
