@@ -193,7 +193,8 @@ class LinearReluChainCase(Case):
 class BatchNormCase(Case):
     """Train-mode batch norm inside a chain, flat or temporal input.
 
-    in_place: batch norm backward writes into its incoming gradient (out=dy).
+    The input is checked as a parameter too, so the input gradient is.
+    in_place: batch norm backward writes it into its incoming gradient (out=dy).
     """
 
     def __init__(self, dtype, temporal=False, in_place=False, seed=0):
@@ -204,10 +205,12 @@ class BatchNormCase(Case):
         self.out = nn.Linear(3, 2, rng, dtype=dtype)
         shape = (2, 3, 7) if temporal else (6, 3)
         self.inputs = {"x": rng.normal(size=shape).astype(dtype)}
+        self.x = nn.Param.zeros_like(self.inputs["x"])  # its value is the input itself
         self.targets = np.array([0, 1]) if temporal else np.array([0, 1, 0, 1, 1, 0])
 
     def params(self):
-        out = {f"bn.{k}": p for k, p in self.bn.params().items()}
+        out = {"x": self.x}
+        out.update({f"bn.{k}": p for k, p in self.bn.params().items()})
         out.update({f"out.{k}": p for k, p in self.out.params().items()})
         return out
 
@@ -223,7 +226,7 @@ class BatchNormCase(Case):
             dy = np.ascontiguousarray(dy, dtype=y.dtype)
         else:
             dy = dflat
-        self.bn.backward(dy, out=dy if self.in_place else None)
+        self.x.grad[...] = self.bn.backward(dy, out=dy if self.in_place else None)
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 
