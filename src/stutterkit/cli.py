@@ -6,9 +6,11 @@ eval (metrics report, optional embedding export), probe (speaker probe on an
 embeddings CSV), inspect (print a checkpoint header).
 
 Configuration is a flat key=value text file with dotted section keys
-(arch.*, train.*, mfcc.*, split.*, synth.*); '#' starts a comment. Unknown
-keys are rejected. Repeatable --set key=value flags override file values,
-and the shorthand flags (--mode, --lambda, --seed) override both.
+(arch.*, train.*, mfcc.*, split.*, synth.*); '#' starts a comment. The
+arch, train, mfcc and synth keys are the fields of ArchConfig, TrainConfig,
+MfccConfig and SyntheticConfig. Unknown keys are rejected. Repeatable
+--set key=value flags override file values, and the shorthand flags (--mode,
+--lambda, --seed) override both.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric failure.
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,13 +37,7 @@ from .data import (
     split_within_podcast,
     write_manifest,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    NonDeterministicLoss,
-    NumericError,
-    StutterKitError,
-)
+from .errors import ConfigError, DataError, NumericError, StutterKitError, UnknownLabel
 from .evaluate import evaluate_model, export_embeddings, read_embeddings, speaker_probe
 from .features import AudioClip, MfccConfig, extract_features, read_wav, write_fmat
 from .model import ArchConfig, build_model
@@ -84,57 +81,25 @@ def _opt_int(s):
     return None if s.strip().lower() in ("", "none", "auto") else int(s)
 
 
-# section -> field -> value parser; this is the whole config vocabulary.
+# annotation -> value parser; a field annotated otherwise fails here at import.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "int | None": _opt_int, "int | dict": _parse_counts,
+            "tuple[int, ...]": _parse_ints, "tuple[tuple[int, ...], ...]": _parse_contexts}
+
+
+def _keys(cls):
+    """A section's keys are its dataclass's fields (train.log_path is --log)."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name != "log_path"}
+
+
+# section -> field -> value parser; this is the whole config vocabulary. The
+# split functions take no config object, so their four keys are listed here.
 CONFIG_KEYS = {
-    "arch": {
-        "n_podcasts": int,
-        "n_mfcc": int,
-        "encoder_channels": _parse_ints,
-        "contexts": _parse_contexts,
-        "head_hidden": _parse_ints,
-        "dropout": float,
-        "bn_before_relu": _parse_bool,
-    },
-    "train": {
-        "objective": str,
-        "lam": float,
-        "lambda_schedule": str,
-        "gamma": float,
-        "sigmoid_paper_sign": _parse_bool,
-        "max_epochs": int,
-        "batch_size": int,
-        "lr": float,
-        "seed": int,
-        "patience": int,
-        "min_delta": float,
-        "stage_bounds": _parse_ints,
-        "stage1_trains_encoder": _parse_bool,
-    },
-    "mfcc": {
-        "n_mfcc": int,
-        "window_ms": float,
-        "hop_ms": float,
-        "n_mels": int,
-        "fft_size": _opt_int,
-        "log_floor": float,
-    },
-    "split": {
-        "mode": str,
-        "ratios": _parse_floats,
-        "valid_fraction": float,
-        "seed": int,
-    },
-    "synth": {
-        "n_podcasts": int,
-        "clips_per_class": _parse_counts,
-        "frames": int,
-        "n_mfcc": int,
-        "alpha": float,
-        "beta": float,
-        "rho": float,
-        "sigma": float,
-        "seed": int,
-    },
+    "arch": _keys(ArchConfig),
+    "train": _keys(TrainConfig),
+    "mfcc": _keys(MfccConfig),
+    "split": {"mode": str, "ratios": _parse_floats, "valid_fraction": float, "seed": int},
+    "synth": _keys(SyntheticConfig),
 }
 
 
@@ -151,7 +116,7 @@ class RunConfig:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         try:
             self.sections[section][fieldname] = parsers[fieldname](raw)
-        except ValueError as exc:
+        except (ValueError, UnknownLabel) as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
     @classmethod
@@ -225,12 +190,7 @@ def cmd_features(args):
 
 def cmd_synth(args):
     cfg = RunConfig.load(args.config, args.set)
-    syn = SyntheticConfig(**cfg["synth"])
-    try:
-        syn.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    records = generate_synthetic(syn)
+    records = generate_synthetic(SyntheticConfig(**cfg["synth"]))
     manifest_path = _write_feature_corpus(records, args.out_dir)
     print(f"wrote {len(records)} synthetic clips and {manifest_path}")
     return 0
@@ -406,7 +366,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, NonDeterministicLoss) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except StutterKitError as exc:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyPodcast, ParseError, TooFewPodcasts, UnknownLabel
+from .errors import DataError, EmptyPodcast, InvalidConfig, ParseError, TooFewPodcasts, UnknownLabel
 from .features import read_fmat
-from .model import CLASS_NAMES, DISFLUENT_CLASSES, StutterClass
+from .model import CLASS_NAMES, StutterClass
 
 log = logging.getLogger(__name__)
 
@@ -250,6 +250,8 @@ def _podcast_groups(records):
 
 def split_by_podcast(records, ratios=(0.8, 0.1, 0.1), seed=0) -> DatasetSplit:
     """Partition whole podcasts into train/valid/test (largest-remainder sizes)."""
+    if len(ratios) != 3 or not all(0 <= r < np.inf for r in ratios) or abs(sum(ratios) - 1) > 1e-6:
+        raise InvalidConfig(f"ratios must be three finite values >= 0 summing to 1, got {ratios}")
     groups = _podcast_groups(records)
     podcasts = sorted(groups)
     if len(podcasts) < 3:
@@ -272,6 +274,8 @@ def split_within_podcast(records, valid_fraction=0.1, seed=0, test=()) -> Datase
     Every (podcast, class) cell with at least 2 clips contributes at least
     one clip to each side; single-clip cells go to train with a warning.
     """
+    if not 0 <= valid_fraction <= 1:
+        raise InvalidConfig(f"valid_fraction must be in [0, 1], got {valid_fraction}")
     groups = _podcast_groups(records)
     if not groups:
         raise EmptyPodcast("no records to split")
@@ -360,13 +364,21 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self):
-        counts = self.class_counts()
-        if self.n_podcasts < 1 or any(c < 1 for c in counts.values()):
-            raise ValueError("counts must be >= 1")
+        try:
+            counts = self.class_counts()
+        except UnknownLabel as exc:
+            raise InvalidConfig(f"clips_per_class: {exc}") from exc
+        if min(self.n_podcasts, self.n_mfcc, self.frames, *counts.values()) < 1:
+            raise InvalidConfig("n_podcasts, n_mfcc, frames and class counts must be >= 1")
         if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise InvalidConfig(f"rho must be in [0, 1], got {self.rho}")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta) and 0 <= self.sigma < np.inf):
+            raise InvalidConfig(f"alpha and beta must be finite and sigma finite and >= 0, got "
+                                f"{self.alpha}, {self.beta}, {self.sigma}")
+        patterns = len(StutterClass) + self.n_podcasts
+        if self.n_mfcc * self.frames < patterns:
+            raise InvalidConfig(f"n_mfcc * frames must be >= {patterns} (one pattern per class "
+                                f"and podcast), got {self.n_mfcc * self.frames}")
 
     def class_counts(self) -> dict[StutterClass, int]:
         if isinstance(self.clips_per_class, dict):

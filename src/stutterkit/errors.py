@@ -47,10 +47,6 @@ class IndexOutOfRange(DataError):
     """Class index outside the logit range."""
 
 
-class NonDeterministicLoss(StutterKitError):
-    """Loss function returned different values for identical parameters."""
-
-
 class ShapeMismatch(DataError):
     """Tensor shapes inconsistent with the declared layer geometry."""
 

@@ -53,10 +53,15 @@ class MfccConfig:
     log_floor: float = 1e-10
 
     def validate(self):
+        if not (0 < self.window_ms < np.inf and 0 < self.hop_ms < np.inf):
+            raise InvalidConfig(f"window_ms and hop_ms must be finite and > 0, "
+                                f"got {self.window_ms}, {self.hop_ms}")
+        if self.n_mfcc < 1 or self.n_mels < 1 or (self.fft_size is not None and self.fft_size < 1):
+            raise InvalidConfig("n_mfcc, n_mels and fft_size must be >= 1")
         if self.n_mfcc > self.n_mels:
             raise InvalidConfig(f"n_mfcc={self.n_mfcc} exceeds n_mels={self.n_mels}")
-        if self.log_floor <= 0:
-            raise InvalidConfig("log_floor must be positive")
+        if not 0 < self.log_floor < np.inf:
+            raise InvalidConfig(f"log_floor must be finite and > 0, got {self.log_floor}")
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_ms * sample_rate / 1000.0))

@@ -38,12 +38,6 @@ class StutterClass(IntEnum):
 
 CLASS_NAMES = tuple(c.name.capitalize() for c in StutterClass)
 CLASS_INITIALS = ("F", "R", "P", "B", "I")
-DISFLUENT_CLASSES = (
-    StutterClass.REPETITION,
-    StutterClass.PROLONGATION,
-    StutterClass.BLOCK,
-    StutterClass.INTERJECTION,
-)
 
 PARTITIONS = ("encoder", "fluent", "disfluent", "speaker")
 
@@ -58,9 +52,9 @@ EVAL_GROUP_BYTES = 2 << 20
 class ArchConfig:
     n_podcasts: int
     n_mfcc: int = 20
-    encoder_channels: tuple = (64, 64, 64, 64, 64)
-    contexts: tuple = DEFAULT_CONTEXTS
-    head_hidden: tuple = (64, 64)
+    encoder_channels: tuple[int, ...] = (64, 64, 64, 64, 64)
+    contexts: tuple[tuple[int, ...], ...] = DEFAULT_CONTEXTS
+    head_hidden: tuple[int, ...] = (64, 64)
     dropout: float = 0.2
     bn_before_relu: bool = False  # default order: layer -> ReLU -> batch norm
 

@@ -73,7 +73,7 @@ class TrainConfig:
     seed: int = 0
     patience: int = 7
     min_delta: float = 1e-6
-    stage_bounds: tuple = (25, 50, 75)  # adv stage boundaries b1, b2, b3
+    stage_bounds: tuple[int, ...] = (25, 50, 75)  # adv stage boundaries b1, b2, b3
     stage1_trains_encoder: bool = True  # speaker_only trains {E, S} vs {S}
     log_path: str | None = None
 

@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from stutterkit import nn
-from stutterkit.errors import NonDeterministicLoss
+from stutterkit.errors import StutterKitError
 from stutterkit.model import ArchConfig, build_model
 from stutterkit.training import compute_losses
 
 F32_TOL = 1e-3
 F64_TOL = 1e-6
+
+
+class NonDeterministicLoss(StutterKitError):
+    """Loss function returned different values for identical parameters."""
 
 
 @dataclass

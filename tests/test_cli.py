@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,9 +78,36 @@ class TestRunConfig:
             RunConfig.load(path)
 
     def test_every_key_has_a_parser(self):
-        for section, fields in CONFIG_KEYS.items():
-            for field, parser in fields.items():
-                assert callable(parser), f"{section}.{field}"
+        # Pinned to the vocabulary of the hand-written table the fields replaced:
+        # a new or renamed dataclass field shows up here as a new config key.
+        want = {
+            "arch": "n_podcasts:int n_mfcc:int encoder_channels:_parse_ints "
+                    "contexts:_parse_contexts head_hidden:_parse_ints dropout:float "
+                    "bn_before_relu:_parse_bool",
+            "train": "objective:str lam:float lambda_schedule:str gamma:float "
+                     "sigmoid_paper_sign:_parse_bool max_epochs:int batch_size:int lr:float "
+                     "seed:int patience:int min_delta:float stage_bounds:_parse_ints "
+                     "stage1_trains_encoder:_parse_bool",
+            "mfcc": "n_mfcc:int window_ms:float hop_ms:float n_mels:int fft_size:_opt_int "
+                    "log_floor:float",
+            "split": "mode:str ratios:_parse_floats valid_fraction:float seed:int",
+            "synth": "n_podcasts:int clips_per_class:_parse_counts frames:int n_mfcc:int "
+                     "alpha:float beta:float rho:float sigma:float seed:int",
+        }
+        got = {section: " ".join(f"{key}:{parser.__name__}" for key, parser in keys.items())
+               for section, keys in CONFIG_KEYS.items()}
+        assert list(got.items()) == list(want.items())
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys\n", 1)[1].split("\n| section | keys |\n", 1)[1]
+        rows = {}
+        for line in table.split("\n\n", 1)[0].splitlines()[1:]:
+            section, keys = line.strip().strip("|").split("|")
+            while re.search(r"\([^()]*\)", keys):  # drop the notes, nested ones too
+                keys = re.sub(r"\([^()]*\)", "", keys)
+            rows[section.strip().strip("`")] = re.findall(r"`([^`]+)`", keys)
+        assert rows == {section: list(keys) for section, keys in CONFIG_KEYS.items()}
 
 
 SYNTH_ARGS = [
@@ -98,6 +127,31 @@ TRAIN_ARGS = ARCH_ARGS + [
     "--set", "train.batch_size=16",
     "--set", "train.lr=0.01",
     "--set", "split.mode=within",
+]
+
+
+# Config values each subcommand must reject as a config error (exit 1), with the
+# name its message must carry. TRAIN_ARGS split within podcasts.
+MALFORMED_VALUES = [
+    (["split.ratios=0.5,0.5", "split.mode=podcast"], "ratios"),
+    (["split.ratios=nan,0.1,0.1", "split.mode=podcast"], "ratios"),
+    (["split.ratios=1,1,1", "split.mode=podcast"], "ratios"),
+    (["split.ratios=-1,1,1", "split.mode=podcast"], "ratios"),
+    (["split.valid_fraction=nan"], "valid_fraction"),
+    (["split.valid_fraction=2"], "valid_fraction"),
+    (["split.valid_fraction=-1"], "valid_fraction"),
+    (["mfcc.window_ms=0"], "window_ms"),
+    (["mfcc.log_floor=nan"], "log_floor"),
+    (["mfcc.n_mfcc=0"], "n_mfcc"),
+    (["mfcc.hop_ms=0"], "hop_ms"),
+    (["mfcc.hop_ms=nan"], "hop_ms"),
+    (["mfcc.window_ms=-5"], "window_ms"),
+    (["mfcc.fft_size=0"], "fft_size"),
+    (["synth.sigma=nan"], "sigma"),
+    (["synth.frames=0"], "frames"),
+    (["synth.n_mfcc=0"], "n_mfcc"),
+    (["synth.n_podcasts=200", "synth.n_mfcc=2", "synth.frames=3"], "n_mfcc * frames"),
+    (["synth.clips_per_class=Foo:3"], "synth.clips_per_class"),
 ]
 
 
@@ -286,6 +340,28 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("sets, name", MALFORMED_VALUES,
+                             ids=[sets[0] for sets, _ in MALFORMED_VALUES])
+    def test_malformed_value_is_config_error(self, corpus, tmp_path, capsys, sets, name):
+        section = sets[0].partition(".")[0]
+        if section == "split":
+            argv = ["train", "--manifest", str(corpus / "manifest.csv"),
+                    "--out", str(tmp_path / "m.ckpt")] + TRAIN_ARGS
+        elif section == "mfcc":
+            write_wav(tmp_path / "a.wav", 440.0)
+            write_audio_manifest(tmp_path / "audio.csv",
+                                 [["a", "ep1", "Fluent", str(tmp_path / "a.wav"), "", "", ""]])
+            argv = ["features", "--manifest", str(tmp_path / "audio.csv"),
+                    "--out-dir", str(tmp_path / "feats")]
+        else:
+            argv = ["synth", "--out-dir", str(tmp_path / "o")]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and name in err
 
     def test_missing_manifest(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "absent.csv"),

@@ -23,6 +23,7 @@ from stutterkit.data import (
 from stutterkit.errors import (
     DataError,
     EmptyPodcast,
+    InvalidConfig,
     ParseError,
     TooFewPodcasts,
     UnknownLabel,
@@ -262,6 +263,13 @@ class TestPodcastSplit:
         with pytest.raises(TooFewPodcasts):
             split_by_podcast(records)
 
+    @pytest.mark.parametrize("ratios", [
+        (0.5, 0.5), (float("nan"), 0.1, 0.1), (1, 1, 1), (-1, 1, 1), (float("inf"), 0, 0),
+    ])
+    def test_bad_ratios_rejected(self, ratios):
+        with pytest.raises(InvalidConfig, match="ratios"):
+            split_by_podcast(make_records(n_podcasts=5), ratios)
+
 
 class TestWithinPodcastSplit:
     def test_every_cell_present_on_both_sides(self):
@@ -298,6 +306,11 @@ class TestWithinPodcastSplit:
         held = [ClipRecord("t1", "podX", StutterClass.FLUENT)]
         split = split_within_podcast(records, test=held)
         assert split.test == held
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 2.0, -1.0, float("inf")])
+    def test_bad_valid_fraction_rejected(self, fraction):
+        with pytest.raises(InvalidConfig, match="valid_fraction"):
+            split_within_podcast(make_records(n_podcasts=3), valid_fraction=fraction)
 
     def test_tiny_podcast_rejected(self):
         records = make_records(n_podcasts=3) + [ClipRecord("x", "podY", StutterClass.FLUENT)]
@@ -384,9 +397,12 @@ class TestSyntheticCorpus:
         acc = ridge_onevsrest_accuracy(x[tr], y[tr], x[te], y[te], n_classes=5)
         assert acc >= 0.95
 
-    @pytest.mark.parametrize(
-        "kw", [{"rho": 1.5}, {"sigma": -0.1}, {"clips_per_class": 0}, {"n_podcasts": 0}]
-    )
+    @pytest.mark.parametrize("kw", [
+        {"rho": 1.5}, {"sigma": -0.1}, {"clips_per_class": 0}, {"n_podcasts": 0},
+        {"sigma": float("nan")}, {"alpha": float("inf")}, {"beta": float("nan")},
+        {"frames": 0}, {"n_mfcc": 0}, {"n_podcasts": 200, "n_mfcc": 2, "frames": 3},
+        {"clips_per_class": {"Foo": 3}},
+    ])
     def test_bad_config_rejected(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SyntheticConfig(**kw).validate()

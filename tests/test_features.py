@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             MfccConfig(log_floor=0.0).validate()
 
+    @pytest.mark.parametrize("kw", [
+        {"window_ms": 0.0}, {"window_ms": -5.0}, {"hop_ms": 0.0}, {"hop_ms": float("nan")},
+        {"window_ms": float("inf")}, {"n_mfcc": 0}, {"n_mels": 0}, {"fft_size": 0},
+        {"log_floor": float("nan")}, {"log_floor": float("inf")},
+    ])
+    def test_bad_config_rejected(self, kw):
+        with pytest.raises(InvalidConfig):
+            MfccConfig(**kw).validate()
+
     def test_audio_clip_validation(self):
         with pytest.raises(DataError):
             AudioClip(np.zeros(0), SR)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradcases import finite_difference_check
+from gradcases import NonDeterministicLoss, finite_difference_check
 from oracles import ReferenceAdam, batchnorm_reference, hand_adam_steps, tdnn_reference
 from stutterkit import nn
 from stutterkit.errors import (
@@ -9,7 +9,6 @@ from stutterkit.errors import (
     IndexOutOfRange,
     InputTooShort,
     InvalidRate,
-    NonDeterministicLoss,
     ShapeMismatch,
 )
 from stutterkit.model import PARTITIONS, ArchConfig, build_model
