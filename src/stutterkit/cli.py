@@ -174,6 +174,8 @@ def cmd_features(args):
                 hi = int(round(rec.stop_ms * clip.sample_rate / 1000.0))
                 clip = AudioClip(clip.samples[lo:hi], clip.sample_rate)
             feats = extract_features(clip, mfcc)
+        except ConfigError:
+            raise  # a bad setting fails every clip alike: exit 1, not a per-clip failure
         except (OSError, StutterKitError, ValueError) as exc:
             failures.append((rec.clip_id, str(exc)))
             continue

@@ -2,7 +2,8 @@
 
 The model consumes mean-normalized 20-dimensional MFCC matrices computed on a
 20 ms sliding window with a 10 ms hop. All functions here are pure; clips can
-be processed in parallel with no shared state.
+be processed in parallel. The only shared state is a cache of read-only mel
+filterbanks, one per (n_mels, fft_size, sample_rate).
 
 Conventions (documented because they are choices, not givens):
   * Hamming analysis window.
@@ -14,11 +15,13 @@ Conventions (documented because they are choices, not givens):
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fftpack import dct
 from scipy.io import wavfile
 
@@ -86,19 +89,19 @@ class MfccConfig:
 def frame_signal(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Slice the clip into Hamming-windowed frames, shape (T, window_samples).
 
-    T = floor((N - W) / H) + 1. Raises ClipTooShort when N < W.
+    T = floor((N - W) / H) + 1. Raises InvalidConfig when the window or hop
+    rounds to 0 samples at the clip's rate, and ClipTooShort when N < W.
     """
     win = cfg.window_samples(clip.sample_rate)
     hop = cfg.hop_samples(clip.sample_rate)
+    for key, ms, samples in (("window_ms", cfg.window_ms, win), ("hop_ms", cfg.hop_ms, hop)):
+        if samples < 1:
+            raise InvalidConfig(f"mfcc.{key}={ms} is 0 samples at {clip.sample_rate} Hz")
     n = len(clip.samples)
     if n < win:
         raise ClipTooShort(f"clip of {n} samples shorter than window of {win}")
-    t = (n - win) // hop + 1
     samples = np.asarray(clip.samples, dtype=np.float64)
-    frames = np.empty((t, win), dtype=np.float64)
-    for i in range(t):
-        frames[i] = samples[i * hop : i * hop + win]
-    return frames * np.hamming(win)
+    return sliding_window_view(samples, win)[::hop] * np.hamming(win)
 
 
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
@@ -122,6 +125,14 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """mel_filterbank, built once per shape and rate; read-only, as callers share it."""
+    fb = mel_filterbank(n_mels, fft_size, sample_rate)
+    fb.flags.writeable = False
+    return fb
+
+
 def compute_mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """MFCC matrix of shape (n_mfcc, T).
 
@@ -133,7 +144,7 @@ def compute_mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     frames = frame_signal(clip, cfg)
     nfft = cfg.effective_fft_size(clip.sample_rate)
     power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, nfft, clip.sample_rate)
+    fb = _cached_mel_filterbank(cfg.n_mels, nfft, clip.sample_rate)
     mel_energy = power @ fb.T
     log_mel = np.log(np.maximum(mel_energy, cfg.log_floor))
     coeffs = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc]

@@ -141,7 +141,7 @@ class TdnnLayer(Layer):
         u = x if len(self.shifts) == 1 else np.concatenate(
             [x[:, :, s : s + t_out] for s in self.shifts], axis=1)
         out = np.matmul(self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1), u)
-        out += self.bias.value[:, None]
+        out += _per_channel(self.bias.value, out)
         if cache:
             self._cache = x
         return out
@@ -159,8 +159,15 @@ class TdnnLayer(Layer):
         if not input_grad:
             return None
         dx = np.zeros(shape, dtype)
+        w = self.weight.value.transpose(2, 0, 1)  # (K, C_out, C_in)
+        if t_out > 1:
+            # Each w[k].T is then the Fortran-ordered copy numpy makes of a strided
+            # W[:, :, k].T on every call: the same GEMM, one copy per backward. A
+            # one-frame dy keeps the strided operand: numpy runs that product as its
+            # own loop, and GEMV on a contiguous one would round differently.
+            w = np.ascontiguousarray(w)
         for k, s in enumerate(self.shifts):
-            dx[:, :, s : s + t_out] += np.matmul(self.weight.value[:, :, k].T, dy)
+            dx[:, :, s : s + t_out] += np.matmul(w[k].T, dy)
         return dx
 
 
@@ -244,9 +251,6 @@ class BatchNorm1d(Layer):
     def init_params(self, rng=None):
         self.gamma.value[...] = 1.0  # beta stays zero
 
-    def _shaped(self, v, ndim):
-        return v[None, :, None] if ndim == 3 else v[None, :]
-
     def forward(self, x: np.ndarray, train: bool, cache: bool = True) -> np.ndarray:
         if x.ndim not in (2, 3) or x.shape[1] != self.channels:
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
@@ -257,27 +261,24 @@ class BatchNorm1d(Layer):
                 raise DegenerateBatch(
                     f"train-mode batch norm needs >= 2 elements per channel, got {count}"
                 )
-            mean = _mean_of_sum(x.sum(axis=axes, keepdims=True), count)
-            xhat = x - mean
+            mean = _mean_of_sum(x.sum(axis=axes), count)
+            xhat = x - _per_channel(mean, x)
             out = np.square(xhat)  # this call's own temporary: the output goes here
             var = _mean_of_sum(out.sum(axis=axes), count)
-            mean = mean.reshape(self.channels)
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
+            self.running_mean *= 1 - self.momentum
+            self.running_mean += self.momentum * mean
+            self.running_var *= 1 - self.momentum
+            self.running_var += self.momentum * var
         else:
-            xhat = x - self._shaped(self.running_mean, x.ndim)
+            xhat = x - _per_channel(self.running_mean, x)
             var = self.running_var
             out = None if cache else xhat  # uncached, xhat is only this call's temporary
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= self._shaped(inv_std, x.ndim)
+        xhat *= _per_channel(inv_std, x)
         if cache:
             self._cache = (xhat, inv_std, train, axes)
-        out = np.multiply(self._shaped(self.gamma.value, x.ndim), xhat, out=out)
-        out += self._shaped(self.beta.value, x.ndim)
+        out = np.multiply(_per_channel(self.gamma.value, x), xhat, out=out)
+        out += _per_channel(self.beta.value, x)
         return out
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
@@ -287,15 +288,25 @@ class BatchNorm1d(Layer):
         sum_dy = dy.sum(axis=axes)
         self.gamma.grad += sum_dy_xhat
         self.beta.grad += sum_dy
-        g = self._shaped(self.gamma.value * inv_std, dy.ndim)
+        g = _per_channel(self.gamma.value * inv_std, dy)
         if not train:
             return np.multiply(dy, g, out=out)
         count = dy.size // self.channels
-        dx = np.subtract(dy, self._shaped(_mean_of_sum(sum_dy, count), dy.ndim), out=out)
-        xhat *= self._shaped(_mean_of_sum(sum_dy_xhat, count), dy.ndim)
+        dx = np.subtract(dy, _per_channel(_mean_of_sum(sum_dy, count), dy), out=out)
+        xhat *= _per_channel(_mean_of_sum(sum_dy_xhat, count), dy)
         dx -= xhat
         dx *= g
         return dx
+
+
+def _per_channel(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-channel vector v as an operand that broadcasts over like's batch axis only.
+
+    For (batch, channels, frames) input that is v repeated to (channels, frames):
+    a v[:, None] operand would run one inner loop per (batch, channel) row,
+    only frames long. Every element still meets the same value, so no bit moves.
+    """
+    return v[:, None].repeat(like.shape[2], axis=1) if like.ndim == 3 else v
 
 
 def _mean_of_sum(total: np.ndarray, count: int) -> np.ndarray:

@@ -7,6 +7,9 @@ tautology.
 """
 
 import numpy as np
+from scipy.fftpack import dct
+
+from stutterkit.features import mel_filterbank
 
 
 def hamming_window(n):
@@ -20,6 +23,35 @@ def bruteforce_frames(samples, sample_rate, window_ms=20.0, hop_ms=10.0):
     t = (len(samples) - win) // hop + 1
     w = hamming_window(win)
     return np.array([samples[i * hop : i * hop + win] * w for i in range(t)])
+
+
+def loop_frames(samples, win, hop):
+    """Frames copied one by one in a Python loop, then scaled by np.hamming(win).
+
+    The arithmetic frame_signal does, without its strided view, so the two
+    must agree bitwise.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    t = (len(samples) - win) // hop + 1
+    frames = np.empty((t, win), dtype=np.float64)
+    for i in range(t):
+        frames[i] = samples[i * hop : i * hop + win]
+    return frames * np.hamming(win)
+
+
+def uncached_features(clip, cfg):
+    """extract_features step by step, framing by loop_frames and building a fresh filterbank.
+
+    Same numpy calls in the same order as the package, so it must agree bitwise.
+    """
+    rate = clip.sample_rate
+    frames = loop_frames(clip.samples, cfg.window_samples(rate), cfg.hop_samples(rate))
+    nfft = cfg.effective_fft_size(rate)
+    power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
+    mel_energy = power @ mel_filterbank(cfg.n_mels, nfft, rate).T
+    log_mel = np.log(np.maximum(mel_energy, cfg.log_floor))
+    coeffs = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc].T.copy()
+    return coeffs - coeffs.mean(axis=1, keepdims=True)
 
 
 def bruteforce_power_spectrum(frame, nfft):
@@ -135,6 +167,23 @@ def tdnn_reference(x, weight, bias, offsets, dy):
     return out, d_w, dy.sum(axis=(0, 2)), d_x
 
 
+def tdnn_broadcast_reference(x, weight, bias, shifts, dy):
+    """TDNN output and input gradient with a (C_out, 1) bias and strided per-offset W^T.
+
+    The float-for-float formulas nn.TdnnLayer must match bitwise: the forward
+    GEMM on x unfolded offset-major plus bias[:, None], and dX as
+    W[:, :, k].T @ dy scatter-added per offset, W[:, :, k] a strided view.
+    """
+    c_out, t_out = weight.shape[0], dy.shape[2]
+    u = np.concatenate([x[:, :, s : s + t_out] for s in shifts], axis=1)
+    out = np.matmul(weight.transpose(0, 2, 1).reshape(c_out, -1), u)
+    out += bias[:, None]
+    dx = np.zeros(x.shape, x.dtype)
+    for k, s in enumerate(shifts):
+        dx[:, :, s : s + t_out] += np.matmul(weight[:, :, k].T, dy)
+    return out, dx
+
+
 class ReferenceAdam:
     """Adam as one loop over named params, each with its own state dict.
 
@@ -176,6 +225,8 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
                         eps=1e-5, momentum=0.1):
     """Batch norm forward and backward by np.mean / np.var, each where it is used.
 
+    Every per-channel operand is shaped v[None, :, None] (v[None, :] for 2-D
+    input), the broadcast nn.BatchNorm1d must round exactly like.
     running_mean and running_var are updated in place in train mode. Returns
     (out, d_gamma, d_beta, d_x) for the output gradient dy.
     """

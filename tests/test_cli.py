@@ -147,6 +147,9 @@ MALFORMED_VALUES = [
     (["mfcc.hop_ms=nan"], "hop_ms"),
     (["mfcc.window_ms=-5"], "window_ms"),
     (["mfcc.fft_size=0"], "fft_size"),
+    # positive, but 0 samples at the 8 kHz WAV these cases extract from
+    (["mfcc.hop_ms=0.01"], "hop_ms"),
+    (["mfcc.window_ms=0.01"], "window_ms"),
     (["synth.sigma=nan"], "sigma"),
     (["synth.frames=0"], "frames"),
     (["synth.n_mfcc=0"], "n_mfcc"),

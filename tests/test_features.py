@@ -8,8 +8,11 @@ from oracles import (
     bruteforce_mel_energies,
     bruteforce_mfcc,
     hamming_window,
+    loop_frames,
+    uncached_features,
 )
 from stutterkit.errors import ClipTooShort, CorruptCheckpoint, DataError, InvalidConfig
+from stutterkit import features
 from stutterkit.features import (
     AudioClip,
     MfccConfig,
@@ -94,6 +97,40 @@ class TestFraming:
     def test_exactly_one_window(self):
         frames = frame_signal(AudioClip(np.ones(320), SR), MfccConfig())
         assert frames.shape == (1, 320)
+
+
+    @pytest.mark.parametrize("kw, key", [({"hop_ms": 0.01}, "hop_ms"),
+                                         ({"window_ms": 0.01}, "window_ms")])
+    def test_zero_sample_window_or_hop_is_config_error(self, kw, key):
+        # both values pass validate(), but round to 0 samples at 8 kHz
+        with pytest.raises(InvalidConfig, match=f"mfcc.{key}"):
+            frame_signal(sine(440, rate=8000), MfccConfig(**kw))
+
+
+class TestFrontEndBitwise:
+    """Strided framing and the cached filterbank give exactly the loop/uncached bits."""
+
+    @pytest.mark.parametrize("rate, window_ms, hop_ms", [
+        (SR, 20.0, 10.0), (8000, 25.0, 10.0), (22050, 20.0, 7.5), (SR, 20.0, 30.0)])
+    def test_frames_and_fmat_match_loop_reference(self, tmp_path, rate, window_ms, hop_ms):
+        rng = np.random.default_rng(5)
+        clip = AudioClip(rng.uniform(-1.0, 1.0, int(0.7 * rate)), rate)
+        cfg = MfccConfig(window_ms=window_ms, hop_ms=hop_ms)
+        frames = frame_signal(clip, cfg)
+        want = loop_frames(clip.samples, cfg.window_samples(rate), cfg.hop_samples(rate))
+        assert frames.shape == want.shape and frames.tobytes() == want.tobytes()
+        write_fmat(tmp_path / "want.fmat", uncached_features(clip, cfg))
+        for _ in range(2):  # the second call reads the filterbank from the cache
+            write_fmat(tmp_path / "got.fmat", extract_features(clip, cfg))
+            assert (tmp_path / "got.fmat").read_bytes() == (tmp_path / "want.fmat").read_bytes()
+
+    def test_cached_filterbank_is_read_only_and_public_one_is_fresh(self):
+        cached = features._cached_mel_filterbank(40, 512, SR)
+        assert not cached.flags.writeable
+        assert features._cached_mel_filterbank(40, 512, SR) is cached
+        fresh = mel_filterbank(40, 512, SR)
+        assert fresh.flags.writeable and fresh is not mel_filterbank(40, 512, SR)
+        assert np.array_equal(fresh, cached)
 
 
 class TestFilterbank:

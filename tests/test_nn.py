@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from gradcases import NonDeterministicLoss, finite_difference_check
-from oracles import ReferenceAdam, batchnorm_reference, hand_adam_steps, tdnn_reference
+from oracles import (
+    ReferenceAdam,
+    batchnorm_reference,
+    hand_adam_steps,
+    tdnn_broadcast_reference,
+    tdnn_reference,
+)
 from stutterkit import nn
 from stutterkit.errors import (
     DegenerateBatch,
@@ -96,6 +102,27 @@ class TestTdnn:
         assert np.array_equal(layer.forward(x[::-1])[::-1], batched)
 
 
+class TestPerChannelLayout:
+    """The bias laid out (C, T), and dX's Fortran-ordered W_k^T, round exactly as
+    the bias[:, None] broadcast and the strided W[:, :, k].T do (batch norm's
+    operands: TestBatchNorm.test_matches_reference_bitwise)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [32, 128])
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)],
+                             ids=["K1", "K3", "K5"])
+    @pytest.mark.parametrize("t_out", [1, 2, 6, 16])
+    def test_tdnn_matches_broadcast_formulas(self, offsets, channels, t_out, dtype):
+        rng = np.random.default_rng(channels + t_out)
+        layer = nn.TdnnLayer(channels, channels, offsets, rng, dtype=dtype)
+        x = rng.normal(size=(8, channels, t_out + layer.span)).astype(dtype)
+        dy = rng.normal(size=(8, channels, t_out)).astype(dtype)
+        want_out, want_dx = tdnn_broadcast_reference(
+            x, layer.weight.value, layer.bias.value, layer.shifts, dy)
+        assert bits(layer.forward(x)) == bits(want_out)
+        assert bits(layer.backward(dy)) == bits(want_dx)
+
+
 class TestLinear:
     def test_affine_map(self, rng):
         layer = nn.Linear(3, 2, rng, dtype=np.float64)
@@ -150,26 +177,35 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("shape", [(32, 16), (32, 16, 20), (3, 5, 2)])
+    @pytest.mark.parametrize("shape", [(32, 16), (32, 16, 20), (3, 5, 2), (4, 24, 1),
+                                       (4, 24, 2), (4, 24, 6), (4, 24, 16), (3, 24, 300)])
     def test_matches_reference_bitwise(self, rng, shape, train, dtype):
         c = shape[1]
-        bn = nn.BatchNorm1d(c, dtype=dtype)
-        bn.gamma.value[...] = rng.normal(1.0, 0.5, size=c)
-        bn.beta.value[...] = rng.normal(size=c)
-        bn.running_mean[...] = rng.normal(size=c)
-        bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
+        state = [rng.normal(1.0, 0.5, size=c), rng.normal(size=c), rng.normal(size=c),
+                 rng.uniform(0.5, 2.0, size=c)]
+        gamma, beta, running_mean, running_var = (a.astype(dtype) for a in state)
         x = rng.normal(3.0, 2.0, size=shape).astype(dtype)
         dy = rng.normal(size=shape).astype(dtype)
-        ref_mean, ref_var = bn.running_mean.copy(), bn.running_var.copy()
+        ref_mean, ref_var = running_mean.copy(), running_var.copy()
         out, d_gamma, d_beta, d_x = batchnorm_reference(
-            x, bn.gamma.value, bn.beta.value, ref_mean, ref_var, train, dy)
+            x, gamma, beta, ref_mean, ref_var, train, dy)
 
-        assert bits(bn.forward(x, train)) == bits(out)
-        assert bits(bn.running_mean) == bits(ref_mean)
-        assert bits(bn.running_var) == bits(ref_var)
-        assert bits(bn.backward(dy)) == bits(d_x)
-        assert bits(bn.gamma.grad) == bits(d_gamma)
-        assert bits(bn.beta.grad) == bits(d_beta)
+        for into_dy in (False, True):  # backward(dy) and backward(dy, out=dy)
+            bn = nn.BatchNorm1d(c, dtype=dtype)
+            for a, v in zip((bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var),
+                            (gamma, beta, running_mean, running_var)):
+                a[...] = v
+            if not train:  # uncached, eval builds its output in its own temporary
+                assert bits(bn.forward(x, train, cache=False)) == bits(out)
+            assert bits(bn.forward(x, train)) == bits(out)
+            assert bits(bn.running_mean) == bits(ref_mean)
+            assert bits(bn.running_var) == bits(ref_var)
+            grad = dy.copy()
+            dx = bn.backward(grad, out=grad if into_dy else None)
+            assert bits(dx) == bits(d_x) and (dx is grad) == into_dy
+            assert into_dy or bits(grad) == bits(dy)
+            assert bits(bn.gamma.grad) == bits(d_gamma)
+            assert bits(bn.beta.grad) == bits(d_beta)
 
     def test_degenerate_batch(self):
         bn = nn.BatchNorm1d(2)

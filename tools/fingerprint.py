@@ -32,20 +32,21 @@ clips of 15-60 frames (three batches, each cropped to its shortest clip).
 of 150-300 frames: wide and long enough that the encoder splits each eval
 batch into clip groups (model.EVAL_GROUP_BYTES), which `eval` never does.
 BLAS is pinned to one thread; hashes are comparable within one environment.
+`--blas-threads N` pins it to N threads instead (1 to os.cpu_count()), to
+show which lines depend on the thread count; the lines keep their format.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import hashlib
+import io
 import os
+import sys
+import tempfile
 
-os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                        "MKL_NUM_THREADS")})
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EPOCHS = 5
 EVAL_RUN = "mtl-0.3"  # the checkpoint the eval line evaluates
@@ -142,7 +143,17 @@ def eval_fingerprint(ckpt_path, records, workdir) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print one sha256 per fingerprint run.")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="BLAS threads, 1 to os.cpu_count() (default 1)")
+    threads = parser.parse_args(argv).blas_threads
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        print(f"fingerprint: --blas-threads must be 1 to {cpus}, got {threads}", file=sys.stderr)
+        return 1
+    # numpy is first imported below, so BLAS starts with this many threads
+    os.environ.update({var: str(threads) for var in THREAD_VARS})
     src = os.path.abspath("src")
     if not os.path.isfile(os.path.join(src, "stutterkit", "__init__.py")):
         print(f"fingerprint: no stutterkit sources under {src}; run from a checkout's root",
