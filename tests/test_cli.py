@@ -150,6 +150,7 @@ MALFORMED_VALUES = [
     # positive, but 0 samples at the 8 kHz WAV these cases extract from
     (["mfcc.hop_ms=0.01"], "hop_ms"),
     (["mfcc.window_ms=0.01"], "window_ms"),
+    (["mfcc.fft_size=64"], "fft_size"),  # smaller than the 160-sample window
     (["synth.sigma=nan"], "sigma"),
     (["synth.frames=0"], "frames"),
     (["synth.n_mfcc=0"], "n_mfcc"),
