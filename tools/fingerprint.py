@@ -24,6 +24,10 @@ bytes of its keys in sorted-key order. State kept per parameter name and
 state kept per partition thus hash alike when their moments agree, so
 checkouts on either side of that change compare.
 
+Those eight lines train on equal-length clips. `mtl-0.3-mixed` trains the
+mtl-0.3 configuration on 200 clips per class of 15-25 frames instead, so
+every step batch and eval batch is cropped to its shortest clip.
+
 The last two lines cover inference: `stutterkit eval --report
 --export-embeddings`, hashing the printed table, the report JSON and the
 embeddings CSV. `eval` runs the mtl-0.3 checkpoint on a manifest of 150
@@ -171,6 +175,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, overrides in RUNS.items():
             print(f"{name:<22} {fingerprint(name, overrides, split, arch, workdir)}", flush=True)
+        mixed = split_within_podcast(clips(200, 15, 25, seed=104), 0.15, seed=0)
+        mixed = fingerprint("mtl-0.3-mixed", RUNS["mtl-0.3"], mixed, arch, workdir)
+        print(f"{'mtl-0.3-mixed':<22} {mixed}", flush=True)
         ckpt = os.path.join(workdir, f"{EVAL_RUN}.ckpt")
         print(f"{'eval':<22} {eval_fingerprint(ckpt, clips(30, 15, 60, seed=101), workdir)}",
               flush=True)
