@@ -69,10 +69,6 @@ class ClipRecord:
     def fluent_label(self) -> int:
         return 0 if self.label == StutterClass.FLUENT else 1
 
-    @property
-    def is_disfluent(self) -> bool:
-        return self.label != StutterClass.FLUENT
-
 
 @dataclass
 class DatasetSplit:
@@ -95,6 +91,36 @@ def features_of(rec: ClipRecord) -> np.ndarray:
     raise DataError(
         f"clip {rec.clip_id} carries no features; extract them from audio first"
     )
+
+
+class ClipArray(list):
+    """A record list whose feature matrices are rows of one (N, n_mfcc, frames) array.
+
+    Record i's matrix is base[rows[i], :, :lengths[i]], zero-padded beyond. base is the
+    records' own array if each features is a whole row of one array of dtype, as from
+    generate_synthetic, else a copy. labels and, given a speaker_map, speakers are targets.
+    """
+
+    def __init__(self, records, dtype=np.float32, speaker_map=None):
+        super().__init__(records)
+        feats = [features_of(r) for r in self]
+        self.lengths = np.array([f.shape[1] for f in feats])
+        self.labels = np.array([int(r.label) for r in self], dtype=np.intp)
+        self.speaker_map = speaker_map
+        if speaker_map is not None:
+            self.speakers = np.array([speaker_map[r.podcast_id] for r in self], dtype=np.intp)
+        base = feats[0].base
+        if isinstance(base, np.ndarray) and base.dtype == dtype:
+            offsets = np.array([f.ctypes.data for f in feats]) - base.ctypes.data
+            if not (offsets % base.strides[0]).any() and all(
+                    f.base is base and f.shape == base.shape[1:] and f.strides == base.strides[1:]
+                    for f in feats):
+                self.base, self.rows = base, offsets // base.strides[0]
+                return
+        self.base = np.zeros((len(feats), feats[0].shape[0], self.lengths.max()), dtype)
+        for row, f in zip(self.base, feats):
+            row[:, :f.shape[1]] = f
+        self.rows = np.arange(len(feats))
 
 
 def parse_label(text: str) -> StutterClass:
@@ -404,7 +430,7 @@ def _patterns(cfg: SyntheticConfig, rng):
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
-    """Deterministically generate labeled clips with inline feature matrices."""
+    """Deterministically generate labeled clips, each a row of one float32 feature array."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     class_patterns, podcast_perp, podcast_par = _patterns(cfg, rng)
@@ -412,7 +438,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
 
     records = []
     counts = cfg.class_counts()
-    shape = (cfg.n_mfcc, cfg.frames)
+    corpus = np.empty((sum(counts.values()), cfg.n_mfcc, cfg.frames), np.float32)
     for cls in StutterClass:
         for i in range(counts[cls]):
             podcast = i % cfg.n_podcasts
@@ -422,12 +448,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
                 * ((1.0 - cfg.rho) * podcast_perp[podcast] + cfg.rho * podcast_par[podcast])
                 + cfg.sigma * rng.normal(size=dim)
             )
+            feats = corpus[len(records)]
+            feats[...] = signal.reshape(feats.shape)  # rounds as astype(np.float32) does
             records.append(
                 ClipRecord(
                     clip_id=f"syn_{CLASS_NAMES[cls].lower()}_{i:04d}",
                     podcast_id=f"pod{podcast}",
                     label=cls,
-                    features=signal.reshape(shape).astype(np.float32),
+                    features=feats,
                 )
             )
     return records

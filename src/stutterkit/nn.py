@@ -328,9 +328,9 @@ class StatPool(Layer):
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeMismatch(f"expected (batch, channels, frames), got {x.shape}")
-        mu = x.mean(axis=2)
+        mu = _mean_of_sum(x.sum(axis=2), x.shape[2])
         sq = x - mu[:, :, None]
-        std = np.sqrt(np.square(sq, out=sq).mean(axis=2) + self.eps)
+        std = np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), x.shape[2]) + self.eps)
         if cache:
             self._cache = (x, mu, std)
         return np.concatenate([mu, std], axis=1)

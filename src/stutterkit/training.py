@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import features_of
+from .data import ClipArray, features_of
 from .errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from .model import PARTITIONS, MultiBranchModel, two_branch
 
@@ -204,6 +204,7 @@ class BatchLosses:
 
 
 def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
+    # Each mean is sum / count with a Python int count, rounded as np.mean rounds.
     y_class = np.asarray(y_class)
     n = y_class.shape[0]
     if n == 0:
@@ -216,7 +217,7 @@ def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
     dld = np.zeros_like(ld)
     if idx.size:
         losses_d, grads_d = nn.softmax_cross_entropy(ld[idx], y_class[idx] - 1)
-        l_disfluent = float(losses_d.mean())
+        l_disfluent = float(losses_d.sum() / idx.size)
         dld[idx] = grads_d / idx.size
     else:
         l_disfluent = 0.0
@@ -224,19 +225,12 @@ def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
     l_speaker, dls = 0.0, None
     if y_speaker is not None:
         losses_s, grads_s = nn.softmax_cross_entropy(ls, np.asarray(y_speaker))
-        l_speaker = float(losses_s.mean())
+        l_speaker = float(losses_s.sum() / n)
         dls = grads_s / n
 
-    return BatchLosses(
-        l_fluent=float(losses_f.mean()),
-        l_disfluent=l_disfluent,
-        l_speaker=l_speaker,
-        n=n,
-        n_disfluent=int(idx.size),
-        dlf=dlf,
-        dld=dld,
-        dls=dls,
-    )
+    return BatchLosses(l_fluent=float(losses_f.sum() / n), l_disfluent=l_disfluent,
+                       l_speaker=l_speaker, n=n, n_disfluent=int(idx.size),
+                       dlf=dlf, dld=dld, dls=dls)
 
 
 def loss_total(stage: str, lam: float, l_fluent: float, l_disfluent: float,
@@ -275,7 +269,16 @@ def speaker_index_map(records) -> dict[str, int]:
 
 
 def make_batch(records, indices, speaker_map=None, dtype=np.float32):
-    """Stack feature matrices, cropping every clip to the batch's shortest length."""
+    """Stack feature matrices, cropping every clip to the batch's shortest length.
+
+    A ClipArray of dtype, built with this speaker_map or asked for none, is
+    gathered by row instead, to the same values.
+    """
+    if isinstance(records, ClipArray) and records.base.dtype == dtype \
+            and speaker_map in (None, records.speaker_map):
+        idx = np.asarray(indices)
+        x = records.base[records.rows[idx], :, :records.lengths[idx].min()]
+        return x, records.labels[idx], None if speaker_map is None else records.speakers[idx]
     feats = [features_of(records[i]) for i in indices]
     t_min = min(f.shape[1] for f in feats)
     x = np.stack([f[:, :t_min] for f in feats]).astype(dtype, copy=False)
@@ -338,7 +341,9 @@ def infer(model: MultiBranchModel, records, batch_size=64) -> Inference:
     if not records:
         raise EmptyBatch("no records to evaluate")
     need = model.arch.min_frames
-    short = [rec.clip_id for rec in records if features_of(rec).shape[1] < need]
+    lengths = records.lengths if isinstance(records, ClipArray) else [
+        features_of(rec).shape[1] for rec in records]
+    short = [records[i].clip_id for i in np.flatnonzero(np.less(lengths, need))]
     if short:
         raise InputTooShort(f"{len(short)} clip(s) shorter than the {need} frames the "
                             f"encoder needs: {', '.join(short)}")
@@ -377,18 +382,8 @@ class EpochRecord:
     valid_acc: float
 
     def row(self):
-        return [
-            self.epoch,
-            self.stage,
-            format(self.lam, ".6g"),
-            format(self.l_fluent, ".6f"),
-            format(self.l_disfluent, ".6f"),
-            format(self.l_speaker, ".6f"),
-            format(self.l_total, ".6f"),
-            format(self.valid_stutter_loss, ".6f"),
-            format(self.train_acc, ".6f"),
-            format(self.valid_acc, ".6f"),
-        ]
+        return [self.epoch, self.stage, format(self.lam, ".6g"),
+                *(format(getattr(self, column), ".6f") for column in LOG_COLUMNS[3:])]
 
 
 @dataclass
@@ -422,6 +417,8 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
         )
     # Baseline still logs a diagnostic speaker loss when the head size matches.
     track_speaker = len(smap) == model.arch.n_podcasts
+    train_records = ClipArray(train_records, model.dtype, smap if track_speaker else None)
+    valid_records = valid_records and ClipArray(valid_records, model.dtype)
 
     opt = nn.Adam(lr=cfg.lr)
     result = TrainResult(model=model, speaker_map=smap, optimizer=opt)

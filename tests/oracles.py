@@ -253,3 +253,22 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
     mean_dy = shaped(dy.mean(axis=axes))
     mean_dy_xhat = shaped((dy * xhat).mean(axis=axes))
     return out, d_gamma, d_beta, g * (dy - mean_dy - xhat * mean_dy_xhat)
+
+
+def per_clip_synthetic(cfg):
+    """generate_synthetic's feature matrices, each made by its own astype(np.float32)."""
+    from stutterkit.data import _patterns
+    from stutterkit.model import StutterClass
+
+    rng = np.random.default_rng(cfg.seed)
+    class_patterns, podcast_perp, podcast_par = _patterns(cfg, rng)
+    counts = cfg.class_counts()
+    feats = []
+    for cls in StutterClass:
+        for i in range(counts[cls]):
+            p = i % cfg.n_podcasts
+            signal = (cfg.alpha * class_patterns[cls]
+                      + cfg.beta * ((1.0 - cfg.rho) * podcast_perp[p] + cfg.rho * podcast_par[p])
+                      + cfg.sigma * rng.normal(size=cfg.n_mfcc * cfg.frames))
+            feats.append(signal.reshape(cfg.n_mfcc, cfg.frames).astype(np.float32))
+    return feats

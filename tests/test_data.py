@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import ridge_onevsrest_accuracy
+from oracles import per_clip_synthetic, ridge_onevsrest_accuracy
 from stutterkit.data import (
     ClipRecord,
     SyntheticConfig,
@@ -51,8 +51,8 @@ class TestClipRecord:
     def test_fluent_pseudo_label(self):
         fluent = ClipRecord("a", "p", StutterClass.FLUENT)
         block = ClipRecord("b", "p", StutterClass.BLOCK)
-        assert fluent.fluent_label == 0 and not fluent.is_disfluent
-        assert block.fluent_label == 1 and block.is_disfluent
+        assert fluent.fluent_label == 0
+        assert block.fluent_label == 1
 
 
 class TestLabels:
@@ -379,6 +379,19 @@ class TestSyntheticCorpus:
         # entangled podcast patterns live inside the class-pattern span
         residual = b_par - (b_par @ a.T) @ a
         assert np.allclose(residual, 0.0, atol=1e-12)
+
+    def test_features_are_rows_of_one_float32_array(self):
+        cfg = SyntheticConfig(n_podcasts=3, frames=7, n_mfcc=4, rho=0.4, sigma=0.7, seed=5,
+                              clips_per_class={"Fluent": 5, "Repetition": 2, "Prolongation": 3,
+                                               "Block": 1, "Interjection": 4})
+        records = generate_synthetic(cfg)
+        want = per_clip_synthetic(cfg)
+        assert len(records) == len(want) == 15
+        assert all(r.features.tobytes() == w.tobytes() for r, w in zip(records, want))
+        corpus = records[0].features.base
+        assert corpus.dtype == np.float32 and corpus.shape == (15, 4, 7)
+        assert all(r.features.base is corpus and np.shares_memory(r.features, corpus)
+                   for r in records)
 
     def test_feature_shape_and_dtype(self):
         cfg = SyntheticConfig(n_mfcc=6, frames=11, clips_per_class=2)

@@ -224,6 +224,15 @@ class TestStatPool:
         std = np.sqrt(x.var(axis=2) + 1e-9)
         np.testing.assert_allclose(out, np.concatenate([mu, std], axis=1), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [1, 6, 16, 300])
+    def test_bitwise_equal_to_np_mean(self, rng, dtype, frames):
+        x = rng.normal(loc=0.3, size=(5, 7, frames)).astype(dtype)
+        mu = x.mean(axis=2)
+        std = np.sqrt(np.square(x - mu[:, :, None]).mean(axis=2) + 1e-9)
+        want = np.concatenate([mu, std], axis=1)
+        assert nn.StatPool().forward(x, cache=False).tobytes() == want.tobytes()
+
     def test_constant_input_hits_eps_floor(self):
         out = nn.StatPool().forward(np.ones((1, 2, 5)))
         np.testing.assert_allclose(out[0, 2:], np.sqrt(1e-9), atol=1e-15)

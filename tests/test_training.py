@@ -7,9 +7,12 @@ import pytest
 
 from conftest import make_tiny_arch
 from stutterkit import nn, training
-from stutterkit.data import SyntheticConfig, generate_synthetic
+from stutterkit import data
+from stutterkit.data import ClipArray, SyntheticConfig, generate_synthetic, load_manifest, \
+    split_within_podcast, write_manifest
 from stutterkit.errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from stutterkit.evaluate import confusion, evaluate_model, export_embeddings, read_embeddings
+from stutterkit.features import write_fmat
 from stutterkit.model import ArchConfig, build_model
 from stutterkit.training import (
     LOG_COLUMNS,
@@ -219,6 +222,20 @@ class TestComputeLosses:
         with pytest.raises(EmptyBatch):
             compute_losses(np.zeros((0, 2)), np.zeros((0, 4)), None, y_class=[])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_means_bitwise_equal_to_np_mean(self, rng, dtype):
+        for n in (1, 2, 7, 32, 33):
+            lf, ld, ls = (rng.normal(scale=3.0, size=(n, k)).astype(dtype) for k in (2, 4, 5))
+            y = rng.integers(0, 5, size=n)
+            ys = rng.integers(0, 5, size=n)
+            out = compute_losses(lf, ld, ls, y, ys)
+            dis = np.flatnonzero(y != 0)
+            assert out.l_fluent == float(nn.softmax_cross_entropy(lf, (y != 0) * 1)[0].mean())
+            assert out.l_speaker == float(nn.softmax_cross_entropy(ls, ys)[0].mean())
+            if dis.size:
+                want = float(nn.softmax_cross_entropy(ld[dis], y[dis] - 1)[0].mean())
+                assert out.l_disfluent == want
+
 
 class TestLossTotal:
     def test_known_combination(self):
@@ -263,6 +280,111 @@ class TestBatching:
         assert x.dtype == np.float32
         assert y.shape == (3,) and ys.shape == (3,)
         assert ys[0] == 0
+
+
+def stacked(records, indices, speaker_map=None, dtype=np.float32):
+    """Per-clip oracle: crop each clip to the batch's shortest, stack, convert."""
+    feats = [records[i].features for i in indices]
+    t = min(f.shape[1] for f in feats)
+    x = np.stack([f[:, :t] for f in feats]).astype(dtype)
+    y = np.array([int(records[i].label) for i in indices])
+    ys = None if speaker_map is None else np.array(
+        [speaker_map[records[i].podcast_id] for i in indices])
+    return x, y, ys
+
+
+def assert_same_batch(got, want):
+    (x, y, ys), (wx, wy, wys) = got, want
+    assert x.dtype == wx.dtype and x.shape == wx.shape and x.flags.c_contiguous
+    assert x.tobytes() == wx.tobytes()
+    assert np.array_equal(y, wy) and y.dtype == np.intp
+    assert (ys is None and wys is None) or (np.array_equal(ys, wys) and ys.dtype == np.intp)
+
+
+class TestGather:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["range", "shuffled"])
+    @pytest.mark.parametrize("speakers", [False, True], ids=["no-speakers", "speakers"])
+    def test_gather_equals_per_clip_stacking(self, monkeypatch, mixed, shuffled, speakers):
+        records = mixed_length_corpus() if mixed else tiny_corpus()
+        records = records[1::2] + records[::2]  # rows out of corpus order
+        smap = speaker_index_map(records) if speakers else None
+        wrapped = ClipArray(records, np.float32, smap)
+        corpus = records[0].features.base
+        # equal-length rows are gathered in place; cropped views are copied once
+        assert (wrapped.base is corpus) is not mixed
+        n = len(records)
+        order = np.random.default_rng(1).permutation(n) if shuffled else range(n)
+        batches = [order[s:s + 7] for s in range(0, n, 7)]
+        want = [stacked(records, b, smap) for b in batches]
+        monkeypatch.setattr(training, "features_of", None)  # a per-clip fallback would fail
+        for b, w in zip(batches, want):
+            assert_same_batch(make_batch(wrapped, b, speaker_map=smap), w)
+
+    def test_float64_and_two_corpora_take_the_copy_path(self):
+        one, two = tiny_corpus(seed=0), tiny_corpus(seed=1)
+        for records, dtype in ((one, np.float64), (one[:9] + two[9:], np.float32)):
+            wrapped = ClipArray(records, dtype)
+            assert wrapped.base.dtype == dtype
+            assert not any(np.shares_memory(wrapped.base, r.features) for r in records)
+            idx = np.random.default_rng(0).permutation(len(records))
+            assert_same_batch(make_batch(wrapped, idx, dtype=dtype),
+                              stacked(records, idx, dtype=dtype))
+
+    def test_a_view_that_is_not_a_row_is_copied(self):
+        records = tiny_corpus()
+        corpus = records[0].features.base
+        n_mfcc, frames = records[0].features.shape
+        off_row = corpus.reshape(-1)[1:1 + n_mfcc * frames].reshape(n_mfcc, frames)
+        assert off_row.base is corpus and off_row.strides == records[0].features.strides
+        records[3].features = off_row
+        wrapped = ClipArray(records)
+        assert wrapped.base is not corpus
+        assert_same_batch(make_batch(wrapped, [3, 0]), stacked(records, [3, 0]))
+
+    def test_other_dtype_or_speaker_map_stacks_per_clip(self):
+        records = tiny_corpus()
+        smap = speaker_index_map(records)
+        other = {pid: len(smap) - 1 - i for pid, i in smap.items()}
+        wrapped = ClipArray(records, np.float32, smap)
+        idx = [5, 0, 11]
+        assert_same_batch(make_batch(wrapped, idx, speaker_map=other),
+                          stacked(records, idx, other))
+        assert_same_batch(make_batch(wrapped, idx, speaker_map=dict(smap)),
+                          stacked(records, idx, smap))
+        assert_same_batch(make_batch(wrapped, idx, dtype=np.float64),
+                          stacked(records, idx, dtype=np.float64))
+
+    def test_manifest_record_loads_when_a_batch_needs_it(self, tmp_path, monkeypatch):
+        records = tiny_corpus()[:6]
+        for r in records:
+            r.feature_path = str(tmp_path / f"{r.clip_id}.fmat")
+            write_fmat(r.feature_path, r.features)
+        write_manifest(tmp_path / "m.csv", records)
+        loaded = load_manifest(tmp_path / "m.csv")
+        reads = []
+        read = data.read_fmat
+        monkeypatch.setattr(data, "read_fmat", lambda path: reads.append(path) or read(path))
+        assert_same_batch(make_batch(loaded, [4, 1]), stacked(records, [4, 1]))
+        assert reads == [records[4].feature_path, records[1].feature_path]
+        assert [r.features is not None for r in loaded] == [0, 1, 0, 0, 1, 0]
+
+    def test_train_gathers_a_synthetic_split_in_place(self, monkeypatch):
+        records = tiny_corpus()
+        corpus = records[0].features.base
+        split = split_within_podcast(records, 0.25, seed=0)
+        bases = []
+        make = training.make_batch
+
+        def spy(records, indices, *args, **kwargs):
+            bases.append(records.base)
+            return make(records, indices, *args, **kwargs)
+
+        monkeypatch.setattr(training, "make_batch", spy)
+        monkeypatch.setattr(training, "features_of", None)  # infer reads the wrapper's lengths
+        cfg = TrainConfig(objective="mtl", max_epochs=2, batch_size=8, seed=0)
+        train(build_model(make_tiny_arch(), seed=0), split.train, split.valid, cfg)
+        assert len(bases) > 4 and all(b is corpus for b in bases)
 
 
 class TestDatasetMetrics:
@@ -414,10 +536,12 @@ class TestTrainLoop:
         records = tiny_corpus()
         train_recs, valid = self.split(records)
         clips = {"train": 0, "valid": 0}
+        valid_ids = [r.clip_id for r in valid]  # train() hands make_batch a wrapper
         make = training.make_batch
 
         def counting(records, indices, *args, **kwargs):
-            clips["valid" if records is valid else "train"] += len(indices)
+            is_valid = [r.clip_id for r in records] == valid_ids
+            clips["valid" if is_valid else "train"] += len(indices)
             return make(records, indices, *args, **kwargs)
 
         monkeypatch.setattr(training, "make_batch", counting)
