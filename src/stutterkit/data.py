@@ -110,7 +110,7 @@ class ClipArray(list):
         if speaker_map is not None:
             self.speakers = np.array([speaker_map[r.podcast_id] for r in self], dtype=np.intp)
         base = feats[0].base
-        if isinstance(base, np.ndarray) and base.dtype == dtype:
+        if isinstance(base, np.ndarray) and base.ndim == 3 and base.dtype == dtype:
             offsets = np.array([f.ctypes.data for f in feats]) - base.ctypes.data
             if not (offsets % base.strides[0]).any() and all(
                     f.base is base and f.shape == base.shape[1:] and f.strides == base.strides[1:]

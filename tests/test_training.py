@@ -341,6 +341,10 @@ class TestGather:
         wrapped = ClipArray(records)
         assert wrapped.base is not corpus
         assert_same_batch(make_batch(wrapped, [3, 0]), stacked(records, [3, 0]))
+        # a broadcast matrix's base is 0-d, so it is no row of anything either
+        records[0].features = np.broadcast_to(np.float32(0.5), (n_mfcc, frames))
+        assert records[0].features.base.ndim == 0
+        assert_same_batch(make_batch(ClipArray(records), [0, 3]), stacked(records, [0, 3]))
 
     def test_other_dtype_or_speaker_map_stacks_per_clip(self):
         records = tiny_corpus()
