@@ -96,9 +96,9 @@ def features_of(rec: ClipRecord) -> np.ndarray:
 class ClipArray(list):
     """A record list whose feature matrices are rows of one (N, n_mfcc, frames) array.
 
-    Record i's matrix is base[rows[i], :, :lengths[i]], zero-padded beyond. base is the
-    records' own array if each features is a whole row of one array of dtype, as from
-    generate_synthetic, else a copy. labels and, given a speaker_map, speakers are targets.
+    Record i's matrix is base[rows[i], :, :lengths[i]]. base is the records' own array when
+    each features is a whole row of one array of dtype (as from generate_synthetic), else a
+    copy zero-padded to the longest clip. labels and speakers (given a speaker_map) are targets.
     """
 
     def __init__(self, records, dtype=np.float32, speaker_map=None):
