@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,10 @@ class ClipRecord:
     def fluent_label(self) -> int:
         return 0 if self.label == StutterClass.FLUENT else 1
 
+    @property
+    def is_disfluent(self) -> bool:
+        return self.label != StutterClass.FLUENT
+
 
 @dataclass
 class DatasetSplit:
@@ -93,34 +98,44 @@ def features_of(rec: ClipRecord) -> np.ndarray:
     )
 
 
+def shape_of(rec: ClipRecord) -> tuple[int, int]:
+    """Shape of a record's feature matrix; of an unloaded one, from its file's header."""
+    if rec.features is None and rec.feature_path:
+        return read_fmat(rec.feature_path, shape_only=True)
+    return features_of(rec).shape
+
+
 class ClipArray(list):
     """A record list whose feature matrices are rows of one (N, n_mfcc, frames) array.
 
     Record i's matrix is base[rows[i], :, :lengths[i]]. base is the records' own array when
     each features is a whole row of one array of dtype (as from generate_synthetic), else a
-    copy zero-padded to the longest clip. labels and speakers (given a speaker_map) are targets.
+    copy zero-padded to the longest clip, into which each unloaded record's file is read
+    without keeping it on the record. labels and speakers (given a speaker_map) are targets.
     """
 
     def __init__(self, records, dtype=np.float32, speaker_map=None):
         super().__init__(records)
-        feats = [features_of(r) for r in self]
-        self.lengths = np.array([f.shape[1] for f in feats])
+        shapes = [shape_of(r) for r in self]
+        self.lengths = np.array([t for _, t in shapes])
         self.labels = np.array([int(r.label) for r in self], dtype=np.intp)
         self.speaker_map = speaker_map
         if speaker_map is not None:
             self.speakers = np.array([speaker_map[r.podcast_id] for r in self], dtype=np.intp)
-        base = feats[0].base
-        if isinstance(base, np.ndarray) and base.ndim == 3 and base.dtype == dtype:
+        feats = [r.features for r in self]
+        base = getattr(feats[0], "base", None)
+        if isinstance(base, np.ndarray) and base.ndim == 3 and base.dtype == dtype and all(
+                f is not None and f.base is base and f.shape == base.shape[1:]
+                and f.strides == base.strides[1:] for f in feats):
             offsets = np.array([f.ctypes.data for f in feats]) - base.ctypes.data
-            if not (offsets % base.strides[0]).any() and all(
-                    f.base is base and f.shape == base.shape[1:] and f.strides == base.strides[1:]
-                    for f in feats):
+            if not (offsets % base.strides[0]).any():
                 self.base, self.rows = base, offsets // base.strides[0]
                 return
-        self.base = np.zeros((len(feats), feats[0].shape[0], self.lengths.max()), dtype)
-        for row, f in zip(self.base, feats):
-            row[:, :f.shape[1]] = f
-        self.rows = np.arange(len(feats))
+        self.base = np.zeros((len(self), shapes[0][0], self.lengths.max()), dtype)
+        for row, rec, t in zip(self.base, self, self.lengths):
+            # shape_of has made sure that each record has its features or a file
+            row[:, :t] = rec.features if rec.features is not None else read_fmat(rec.feature_path)
+        self.rows = np.arange(len(self))
 
 
 def parse_label(text: str) -> StutterClass:
@@ -438,7 +453,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
 
     records = []
     counts = cfg.class_counts()
-    corpus = np.empty((sum(counts.values()), cfg.n_mfcc, cfg.frames), np.float32)
+    # An anonymous mapping of its own, not a malloc chunk: freed, it is unmapped at once and
+    # leaves glibc's heap and its mmap and trim thresholds as the per-clip arrays did.
+    shape = (sum(counts.values()), cfg.n_mfcc, cfg.frames)
+    buf = mmap.mmap(-1, 4 * shape[0] * shape[1] * shape[2], flags=mmap.MAP_PRIVATE)
+    corpus = np.ndarray(shape, np.float32, buffer=buf)
     for cls in StutterClass:
         for i in range(counts[cls]):
             podcast = i % cfg.n_podcasts

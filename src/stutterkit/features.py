@@ -190,8 +190,9 @@ def write_fmat(path, matrix: np.ndarray):
         fh.write(m.tobytes())
 
 
-def read_fmat(path) -> np.ndarray:
-    """Read a feature matrix; the header's shape must account for the file's exact size."""
+def read_fmat(path, shape_only: bool = False) -> np.ndarray | tuple[int, int]:
+    """Read a feature matrix, or only its (rows, cols) given shape_only; the header's
+    shape must account for the file's exact size."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12:
@@ -204,6 +205,8 @@ def read_fmat(path) -> np.ndarray:
         if size != 12 + nbytes:
             raise CorruptCheckpoint(
                 f"{path}: a {rows} x {cols} FMAT file is {12 + nbytes} bytes, this one {size}")
+        if shape_only:
+            return rows, cols
         payload = fh.read(nbytes)
         if len(payload) != nbytes:
             raise CorruptCheckpoint(f"{path}: truncated FMAT payload")

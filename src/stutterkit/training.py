@@ -204,7 +204,7 @@ class BatchLosses:
 
 
 def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
-    # Each mean is sum / count with a Python int count, rounded as np.mean rounds.
+    # Each mean is sum / count cast back to the losses' dtype, rounded as np.mean rounds it.
     y_class = np.asarray(y_class)
     n = y_class.shape[0]
     if n == 0:
@@ -217,7 +217,7 @@ def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
     dld = np.zeros_like(ld)
     if idx.size:
         losses_d, grads_d = nn.softmax_cross_entropy(ld[idx], y_class[idx] - 1)
-        l_disfluent = float(losses_d.sum() / idx.size)
+        l_disfluent = float(losses_d.dtype.type(losses_d.sum() / idx.size))
         dld[idx] = grads_d / idx.size
     else:
         l_disfluent = 0.0
@@ -225,12 +225,19 @@ def compute_losses(lf, ld, ls, y_class, y_speaker=None) -> BatchLosses:
     l_speaker, dls = 0.0, None
     if y_speaker is not None:
         losses_s, grads_s = nn.softmax_cross_entropy(ls, np.asarray(y_speaker))
-        l_speaker = float(losses_s.sum() / n)
+        l_speaker = float(losses_s.dtype.type(losses_s.sum() / n))
         dls = grads_s / n
 
-    return BatchLosses(l_fluent=float(losses_f.sum() / n), l_disfluent=l_disfluent,
-                       l_speaker=l_speaker, n=n, n_disfluent=int(idx.size),
-                       dlf=dlf, dld=dld, dls=dls)
+    return BatchLosses(
+        l_fluent=float(losses_f.dtype.type(losses_f.sum() / n)),
+        l_disfluent=l_disfluent,
+        l_speaker=l_speaker,
+        n=n,
+        n_disfluent=int(idx.size),
+        dlf=dlf,
+        dld=dld,
+        dls=dls,
+    )
 
 
 def loss_total(stage: str, lam: float, l_fluent: float, l_disfluent: float,
@@ -271,11 +278,11 @@ def speaker_index_map(records) -> dict[str, int]:
 def make_batch(records, indices, speaker_map=None, dtype=np.float32):
     """Stack feature matrices, cropping every clip to the batch's shortest length.
 
-    A ClipArray of dtype, built with this speaker_map or asked for none, is
-    gathered by row instead, to the same values.
+    A ClipArray, which must be of dtype and built with speaker_map unless that
+    is None, is gathered by row instead, to the same values.
     """
-    if isinstance(records, ClipArray) and records.base.dtype == dtype \
-            and speaker_map in (None, records.speaker_map):
+    if isinstance(records, ClipArray):
+        assert records.base.dtype == dtype and speaker_map in (None, records.speaker_map)
         idx = np.asarray(indices)
         x = records.base[records.rows[idx], :, :records.lengths[idx].min()]
         return x, records.labels[idx], None if speaker_map is None else records.speakers[idx]
@@ -382,8 +389,18 @@ class EpochRecord:
     valid_acc: float
 
     def row(self):
-        return [self.epoch, self.stage, format(self.lam, ".6g"),
-                *(format(getattr(self, column), ".6f") for column in LOG_COLUMNS[3:])]
+        return [
+            self.epoch,
+            self.stage,
+            format(self.lam, ".6g"),
+            format(self.l_fluent, ".6f"),
+            format(self.l_disfluent, ".6f"),
+            format(self.l_speaker, ".6f"),
+            format(self.l_total, ".6f"),
+            format(self.valid_stutter_loss, ".6f"),
+            format(self.train_acc, ".6f"),
+            format(self.valid_acc, ".6f"),
+        ]
 
 
 @dataclass

@@ -246,6 +246,14 @@ class TestFmat:
         with pytest.raises(CorruptCheckpoint, match="this one 40"):
             read_fmat(path)
 
+    def test_shape_only_reads_a_checked_header(self, tmp_path):
+        path = tmp_path / "x.fmat"
+        write_fmat(path, np.ones((3, 5), dtype=np.float32))
+        assert read_fmat(path, shape_only=True) == (3, 5)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CorruptCheckpoint, match="this one 76"):
+            read_fmat(path, shape_only=True)
+
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(DataError):
             write_fmat(tmp_path / "x.fmat", np.zeros(7))

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_arch
-from stutterkit import nn, training
-from stutterkit import data
-from stutterkit.data import ClipArray, SyntheticConfig, generate_synthetic, load_manifest, \
-    split_within_podcast, write_manifest
-from stutterkit.errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
+from stutterkit import data, nn, training
+from stutterkit.data import ClipArray, ClipRecord, SyntheticConfig, generate_synthetic, \
+    load_manifest, split_within_podcast, write_manifest
+from stutterkit.errors import DataError, EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from stutterkit.evaluate import confusion, evaluate_model, export_embeddings, read_embeddings
 from stutterkit.features import write_fmat
 from stutterkit.model import ArchConfig, build_model
@@ -346,32 +345,53 @@ class TestGather:
         assert records[0].features.base.ndim == 0
         assert_same_batch(make_batch(ClipArray(records), [0, 3]), stacked(records, [0, 3]))
 
-    def test_other_dtype_or_speaker_map_stacks_per_clip(self):
-        records = tiny_corpus()
-        smap = speaker_index_map(records)
-        other = {pid: len(smap) - 1 - i for pid, i in smap.items()}
-        wrapped = ClipArray(records, np.float32, smap)
-        idx = [5, 0, 11]
-        assert_same_batch(make_batch(wrapped, idx, speaker_map=other),
-                          stacked(records, idx, other))
-        assert_same_batch(make_batch(wrapped, idx, speaker_map=dict(smap)),
-                          stacked(records, idx, smap))
-        assert_same_batch(make_batch(wrapped, idx, dtype=np.float64),
-                          stacked(records, idx, dtype=np.float64))
-
     def test_manifest_record_loads_when_a_batch_needs_it(self, tmp_path, monkeypatch):
         records = tiny_corpus()[:6]
-        for r in records:
-            r.feature_path = str(tmp_path / f"{r.clip_id}.fmat")
-            write_fmat(r.feature_path, r.features)
-        write_manifest(tmp_path / "m.csv", records)
-        loaded = load_manifest(tmp_path / "m.csv")
+        loaded = on_disk(records, tmp_path)
         reads = []
         read = data.read_fmat
         monkeypatch.setattr(data, "read_fmat", lambda path: reads.append(path) or read(path))
         assert_same_batch(make_batch(loaded, [4, 1]), stacked(records, [4, 1]))
         assert reads == [records[4].feature_path, records[1].feature_path]
         assert [r.features is not None for r in loaded] == [0, 1, 0, 0, 1, 0]
+
+    def test_feature_files_are_read_into_rows_and_not_kept(self, tmp_path, monkeypatch):
+        records = mixed_length_corpus()[:10]
+        loaded = on_disk(records, tmp_path)
+        reads = []
+        read = data.read_fmat
+
+        def counting(path, shape_only=False):
+            reads.append((path, shape_only))
+            return read(path, shape_only)
+
+        monkeypatch.setattr(data, "read_fmat", counting)
+        wrapped = ClipArray(loaded)
+        paths = [r.feature_path for r in records]
+        # headers first, to size the array, then each payload once, straight into its row
+        assert reads == [(p, True) for p in paths] + [(p, False) for p in paths]
+        assert all(r.features is None for r in loaded)
+        assert wrapped.base.shape == (10, 5, max(r.features.shape[1] for r in records))
+        monkeypatch.setattr(training, "features_of", None)
+        idx = np.random.default_rng(2).permutation(10)
+        for b in (idx[:4], idx[4:]):
+            assert_same_batch(make_batch(wrapped, b), stacked(records, b))
+
+    def test_a_record_without_features_or_file_is_refused(self):
+        with pytest.raises(DataError, match="carries no features"):
+            ClipArray(tiny_corpus()[:2] + [ClipRecord("bare", "pod0", 0)])
+
+    def test_train_on_feature_files_matches_in_memory(self, tmp_path):
+        records = tiny_corpus()
+        loaded = on_disk(records, tmp_path)
+        cfg = TrainConfig(objective="mtl", max_epochs=3, batch_size=8, seed=0)
+        histories = []
+        for recs in (records, loaded):
+            split = split_within_podcast(recs, 0.25, seed=0)
+            result = train(build_model(make_tiny_arch(), seed=0), split.train, split.valid, cfg)
+            histories.append([rec.row() for rec in result.history])
+        assert histories[0] == histories[1]
+        assert all(r.features is None for r in loaded)
 
     def test_train_gathers_a_synthetic_split_in_place(self, monkeypatch):
         records = tiny_corpus()
@@ -413,6 +433,15 @@ class TestDatasetMetrics:
         x, y, _ = make_batch(records, range(len(records)))
         want = float((model.predict_batch(x) == y).mean())
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def on_disk(records, tmp_path):
+    """records written as FMAT files and a manifest, loaded back without their features."""
+    for r in records:
+        r.feature_path = str(tmp_path / f"{r.clip_id}.fmat")
+        write_fmat(r.feature_path, r.features)
+    write_manifest(tmp_path / "m.csv", records)
+    return load_manifest(tmp_path / "m.csv")
 
 
 def mixed_length_corpus():
