@@ -453,8 +453,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
 
     records = []
     counts = cfg.class_counts()
-    # An anonymous mapping of its own, not a malloc chunk: freed, it is unmapped at once and
-    # leaves glibc's heap and its mmap and trim thresholds as the per-clip arrays did.
+    # Its own anonymous mapping, not one large malloc chunk: freeing it unmaps it at once, and
+    # it leaves glibc's dynamic mmap and trim thresholds alone for the rest of the process.
     shape = (sum(counts.values()), cfg.n_mfcc, cfg.frames)
     buf = mmap.mmap(-1, 4 * shape[0] * shape[1] * shape[2], flags=mmap.MAP_PRIVATE)
     corpus = np.ndarray(shape, np.float32, buffer=buf)
