@@ -102,10 +102,10 @@ class _EncoderBlock:
     def forward(self, x, train):
         y = self.tdnn.forward(x, cache=train)
         if self.bn_first:
-            y = self.bn.forward(y, train, cache=train)
+            y = self.bn.forward(y, train, cache=train, out=y)
             return self.relu.forward(y, cache=train, out=y)
         y = self.relu.forward(y, cache=train, out=y)
-        return self.bn.forward(y, train, cache=train)
+        return self.bn.forward(y, train, cache=train, out=y)
 
     def backward(self, dy, input_grad=True):
         # dy is always the model's own: the pool's or the next block's input gradient
@@ -142,9 +142,10 @@ class _Head:
         for fc, relu, bn, drop in zip(self.fcs, self.relus, self.bns, self.drops):
             y = fc.forward(y, cache=train)
             if self.bn_first:
-                y = relu.forward(bn.forward(y, train, cache=train), cache=train)
+                y = relu.forward(bn.forward(y, train, cache=train, out=y), cache=train)
             else:
-                y = bn.forward(relu.forward(y, cache=train), train, cache=train)
+                y = relu.forward(y, cache=train)
+                y = bn.forward(y, train, cache=train, out=y)
             y = drop.forward(y, train, rng, cache=train)
         return self.out.forward(y, cache=train)
 
@@ -335,13 +336,6 @@ class MultiBranchModel:
         for block in reversed(self.encoder_blocks[1:]):
             dy = block.backward(dy)
         self.encoder_blocks[0].backward(dy, input_grad=False)
-
-    # -- inference ------------------------------------------------------------
-
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        """Two-branch rule on a batch, eval mode; returns class indices."""
-        _, lf, ld, _ = self.forward(x)
-        return two_branch(lf, ld)
 
     # -- snapshots (used by checkpointing and best-epoch tracking) -------------
 

@@ -229,6 +229,12 @@ class BatchNorm1d(Layer):
 
     Each batch statistic is one sum, divided as np.mean divides, so the
     results are bitwise those of x.mean / x.var and dy.mean.
+
+    Eval mode writes a*x + c, a = gamma / sqrt(running_var + eps), c = beta - a*running_mean,
+    from the live parameters. a*x and c cancel when |running_mean| >> sqrt(running_var): at
+    1000:1 the worst error is 2.6e-5 of the largest output, against 9e-8 for (x - mean) * a + beta.
+    With out= (x itself, owned by the caller) eval writes its output there and train its
+    x - mean; without it x is left untouched.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
@@ -251,35 +257,35 @@ class BatchNorm1d(Layer):
     def init_params(self, rng=None):
         self.gamma.value[...] = 1.0  # beta stays zero
 
-    def forward(self, x: np.ndarray, train: bool, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, cache: bool = True, out=None) -> np.ndarray:
         if x.ndim not in (2, 3) or x.shape[1] != self.channels:
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
         axes = (0,) if x.ndim == 2 else (0, 2)
-        if train:
-            count = x.size // self.channels
-            if count < 2:
-                raise DegenerateBatch(
-                    f"train-mode batch norm needs >= 2 elements per channel, got {count}"
-                )
-            mean = _mean_of_sum(x.sum(axis=axes), count)
-            xhat = x - _per_channel(mean, x)
-            out = np.square(xhat)  # this call's own temporary: the output goes here
-            var = _mean_of_sum(out.sum(axis=axes), count)
-            self.running_mean *= 1 - self.momentum
-            self.running_mean += self.momentum * mean
-            self.running_var *= 1 - self.momentum
-            self.running_var += self.momentum * var
-        else:
-            xhat = x - _per_channel(self.running_mean, x)
-            var = self.running_var
-            out = None if cache else xhat  # uncached, xhat is only this call's temporary
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.value * inv_std
+            if cache:  # backward's x-hat, as train mode caches it
+                xhat = (x - _per_channel(self.running_mean, x)) * _per_channel(inv_std, x)
+                self._cache = (xhat, inv_std, train, axes)
+            out = np.multiply(x, _per_channel(scale, x), out=out)
+            out += _per_channel(self.beta.value - scale * self.running_mean, x)
+            return out
+        count = x.size // self.channels
+        if count < 2:
+            raise DegenerateBatch(f"train-mode batch norm needs >= 2 per channel, got {count}")
+        mean = _mean_of_sum(x.sum(axis=axes), count)
+        xhat = np.subtract(x, _per_channel(mean, x), out=out)
+        y = np.square(xhat)  # this call's own temporary: the output goes here
+        var = _mean_of_sum(y.sum(axis=axes), count)
+        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= _per_channel(inv_std, x)
         if cache:
             self._cache = (xhat, inv_std, train, axes)
-        out = np.multiply(_per_channel(self.gamma.value, x), xhat, out=out)
-        out += _per_channel(self.beta.value, x)
-        return out
+        y = np.multiply(_per_channel(self.gamma.value, x), xhat, out=y)
+        y += _per_channel(self.beta.value, x)
+        return y
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from stutterkit.model import ArchConfig, build_model
+from stutterkit.model import ArchConfig, build_model, two_branch
 
 
 def make_tiny_arch(n_podcasts=3, channels=4, heads=(8, 8), dropout=0.2, n_mfcc=5):
@@ -16,6 +16,12 @@ def make_tiny_arch(n_podcasts=3, channels=4, heads=(8, 8), dropout=0.2, n_mfcc=5
         head_hidden=heads,
         dropout=dropout,
     )
+
+
+def predict(model, x):
+    """The two-branch rule on one eval-mode forward of the batch x."""
+    _, lf, ld, _ = model.forward(x)
+    return two_branch(lf, ld)
 
 
 @pytest.fixture

@@ -225,6 +225,9 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
                         eps=1e-5, momentum=0.1):
     """Batch norm forward and backward by np.mean / np.var, each where it is used.
 
+    Eval mode's output is a*x + c with a = gamma / sqrt(running_var + eps) and
+    c = beta - a * running_mean; its gradients still go through x-hat.
+
     Every per-channel operand is shaped v[None, :, None] (v[None, :] for 2-D
     input), the broadcast nn.BatchNorm1d must round exactly like.
     running_mean and running_var are updated in place in train mode. Returns
@@ -244,12 +247,13 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - shaped(mean)) * shaped(inv_std)
-    out = shaped(gamma) * xhat + shaped(beta)
     d_gamma = (dy * xhat).sum(axis=axes)
     d_beta = dy.sum(axis=axes)
     g = shaped(gamma * inv_std)
-    if not train:
-        return out, d_gamma, d_beta, dy * g
+    if not train:  # the per-channel affine map a*x + c, a = gamma * inv_std
+        a = gamma * inv_std
+        return shaped(a) * x + shaped(beta - a * mean), d_gamma, d_beta, dy * g
+    out = shaped(gamma) * xhat + shaped(beta)
     mean_dy = shaped(dy.mean(axis=axes))
     mean_dy_xhat = shaped((dy * xhat).mean(axis=axes))
     return out, d_gamma, d_beta, g * (dy - mean_dy - xhat * mean_dy_xhat)

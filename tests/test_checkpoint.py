@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_DIRECTORIES, make_tiny_arch, rewrite_tensor_directory
+from conftest import MALFORMED_DIRECTORIES, make_tiny_arch, predict, rewrite_tensor_directory
 from stutterkit import nn
 from stutterkit.checkpoint import (
     MAGIC,
@@ -60,7 +60,7 @@ class TestRoundtrip:
         model, path = trained
         loaded, _ = load_checkpoint(path)
         x = rng.normal(size=(4, 5, 12)).astype(np.float32)
-        assert np.array_equal(model.predict_batch(x), loaded.predict_batch(x))
+        assert np.array_equal(predict(model, x), predict(loaded, x))
 
     def test_inspect_reads_header_only(self, trained):
         _, path = trained

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_tiny_arch
+from conftest import make_tiny_arch, predict
 from oracles import tdnn_reference
 from stutterkit import nn
 from stutterkit.checkpoint import load_checkpoint, save_checkpoint
@@ -79,7 +79,7 @@ class TestStatelessInference:
         before = model.snapshot()
         identities = attribute_identities(model)
         infer(model, records, batch_size=7)
-        model.predict_batch(x)
+        predict(model, x)
         model.forward(x, grl_lambda=0.5)
         evaluate_model(model, records)
         export_embeddings(model, records, tmp_path / "emb.csv")

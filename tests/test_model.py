@@ -8,7 +8,7 @@ import pytest
 from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
 from stutterkit.errors import InputTooShort, InvalidArch, ShapeMismatch
-from conftest import make_tiny_arch
+from conftest import make_tiny_arch, predict
 from stutterkit.model import (
     CLASS_INITIALS,
     CLASS_NAMES,
@@ -227,7 +227,7 @@ class TestTwoBranchRule:
         # index 0, so everything is called Fluent
         model = self._zero_model(tiny_arch)
         x = rng.normal(size=(4, tiny_arch.n_mfcc, 12)).astype(np.float32)
-        assert np.array_equal(model.predict_batch(x), np.zeros(4, dtype=int))
+        assert np.array_equal(predict(model, x), np.zeros(4, dtype=int))
 
     def test_disfluent_tie_resolves_to_lowest_class(self, tiny_arch, rng):
         # force the fluent head to say "disfluent"; the tied disfluent head
@@ -235,23 +235,23 @@ class TestTwoBranchRule:
         model = self._zero_model(tiny_arch)
         model.named_params()["fluent.out.bias"].value[...] = (-1.0, 1.0)
         x = rng.normal(size=(4, tiny_arch.n_mfcc, 12)).astype(np.float32)
-        assert np.array_equal(model.predict_batch(x), np.full(4, 1))
+        assert np.array_equal(predict(model, x), np.full(4, 1))
 
     def test_rule_matches_logits(self, tiny_arch, rng):
         model = build_model(tiny_arch, seed=5)
         x = rng.normal(size=(8, tiny_arch.n_mfcc, 12)).astype(np.float32)
         _, lf, ld, _ = model.forward(x)
         expected = np.where(np.argmax(lf, axis=1) == 0, 0, np.argmax(ld, axis=1) + 1)
-        assert np.array_equal(model.predict_batch(x), expected)
+        assert np.array_equal(predict(model, x), expected)
 
     def test_speaker_head_never_consulted(self, tiny_arch, rng):
         model = build_model(tiny_arch, seed=5)
         x = rng.normal(size=(8, tiny_arch.n_mfcc, 12)).astype(np.float32)
-        before = model.predict_batch(x)
+        before = predict(model, x)
         for name, p in model.named_params().items():
             if name.startswith("speaker."):
                 p.value[...] = rng.normal(size=p.value.shape)
-        assert np.array_equal(model.predict_batch(x), before)
+        assert np.array_equal(predict(model, x), before)
 
 
 class TestGradientReversalWiring:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestBatchNorm:
             for a, v in zip((bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var),
                             (gamma, beta, running_mean, running_var)):
                 a[...] = v
-            if not train:  # uncached, eval builds its output in its own temporary
+            if not train:  # uncached, eval keeps no x-hat
                 assert bits(bn.forward(x, train, cache=False)) == bits(out)
             assert bits(bn.forward(x, train)) == bits(out)
             assert bits(bn.running_mean) == bits(ref_mean)
@@ -206,6 +208,73 @@ class TestBatchNorm:
             assert into_dy or bits(grad) == bits(dy)
             assert bits(bn.gamma.grad) == bits(d_gamma)
             assert bits(bn.beta.grad) == bits(d_beta)
+
+    @staticmethod
+    def _with_state(rng, c, dtype=np.float32, ratio=1.0):
+        """A batch norm with drawn gamma, beta and running statistics, |mean| = ratio * sigma."""
+        bn = nn.BatchNorm1d(c, dtype=dtype)
+        sigma = rng.uniform(0.5, 2.0, size=c)
+        state = (rng.normal(1.0, 0.5, size=c), rng.normal(size=c),
+                 ratio * sigma * rng.choice([-1.0, 1.0], size=c), sigma ** 2)
+        for a, v in zip((bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var), state):
+            a[...] = v
+        return bn
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(32, 16), (4, 16, 9)])
+    def test_forward_without_out_leaves_its_input_untouched(self, rng, shape, train):
+        x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
+        given = x.copy()
+        for cache in (True, False):
+            bn = self._with_state(rng, shape[1])
+            out = bn.forward(x, train, cache=cache)
+            assert out is not x and bits(x) == bits(given)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(32, 16), (4, 16, 9)])
+    def test_out_takes_the_same_bits(self, rng, shape, train):
+        """With out=x, eval writes its output into x and train its x - mean; no bit moves."""
+        x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
+        dy = rng.normal(size=shape).astype(np.float32)
+        bn = self._with_state(rng, shape[1])
+        into = copy.deepcopy(bn)
+        want = bn.forward(x, train)
+        buf = x.copy()
+        got = into.forward(buf, train, out=buf)
+        assert bits(got) == bits(want) and (got is buf) != train
+        if train:  # buf holds the cached x-hat, which backward consumes
+            assert bits(buf) == bits(bn._cache[0])
+        assert bits(into.running_mean) == bits(bn.running_mean)
+        assert bits(into.running_var) == bits(bn.running_var)
+        assert bits(into.backward(dy.copy())) == bits(bn.backward(dy.copy()))
+        assert bits(into.gamma.grad) == bits(bn.gamma.grad)
+
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 30.0])
+    def test_eval_within_its_float32_roundings_of_float64(self, rng, ratio):
+        """Eval output against gamma * (x - mean) / sqrt(var + eps) + beta in float64.
+
+        Each float32 rounding is at most u = 2**-24 relative. a carries four
+        (var + eps, sqrt, 1 /, gamma *) and c two (a * mean, beta -); a * x and
+        the final sum one each. To first order that bounds the error by u times
+        4|a||x - mean| + |a||x| + 2|a||mean| + |beta| + |y|; the slack 1.01 covers
+        the second-order terms. Trained models sit at |mean| / sigma of about 2-4.
+        """
+        c, shape = 32, (8, 32, 50)
+        bn = self._with_state(rng, c, ratio=ratio)
+        sigma = np.sqrt(bn.running_var.astype(np.float64))
+        x = (bn.running_mean[None, :, None] + sigma[None, :, None] * rng.normal(size=shape)
+             ).astype(np.float32)
+        got = bn.forward(x, train=False, cache=False).astype(np.float64)
+        gamma, beta, mean, var = (v.astype(np.float64)[None, :, None] for v in
+                                  (bn.gamma.value, bn.beta.value, bn.running_mean,
+                                   bn.running_var))
+        x = x.astype(np.float64)
+        a = np.abs(gamma / np.sqrt(var + bn.eps))
+        want = gamma * (x - mean) / np.sqrt(var + bn.eps) + beta
+        u = 2.0 ** -24
+        bound = 1.01 * u * (4 * a * np.abs(x - mean) + a * np.abs(x) + 2 * a * np.abs(mean)
+                            + np.abs(beta) + np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_degenerate_batch(self):
         bn = nn.BatchNorm1d(2)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import make_tiny_arch
+from conftest import make_tiny_arch, predict
 from stutterkit import data, nn, training
 from stutterkit.data import ClipArray, ClipRecord, SyntheticConfig, generate_synthetic, \
     load_manifest, split_within_podcast, write_manifest
@@ -431,7 +431,7 @@ class TestDatasetMetrics:
         model = build_model(make_tiny_arch(), seed=0)
         got = dataset_accuracy(model, records, batch_size=8)
         x, y, _ = make_batch(records, range(len(records)))
-        want = float((model.predict_batch(x) == y).mean())
+        want = float((predict(model, x) == y).mean())
         assert got == pytest.approx(want, abs=1e-12)
 
 
