@@ -233,8 +233,8 @@ class BatchNorm1d(Layer):
     Eval mode writes a*x + c, a = gamma / sqrt(running_var + eps), c = beta - a*running_mean,
     from the live parameters. a*x and c cancel when |running_mean| >> sqrt(running_var): at
     1000:1 the worst error is 2.6e-5 of the largest output, against 9e-8 for (x - mean) * a + beta.
-    With out= (x itself, owned by the caller) eval writes its output there and train its
-    x - mean; without it x is left untouched.
+    Given out= (x itself, owned by the caller) eval writes its output there; train mode, whose
+    x-hat the cache keeps, allocates its own. Without out= x is left untouched.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
@@ -274,7 +274,7 @@ class BatchNorm1d(Layer):
         if count < 2:
             raise DegenerateBatch(f"train-mode batch norm needs >= 2 per channel, got {count}")
         mean = _mean_of_sum(x.sum(axis=axes), count)
-        xhat = np.subtract(x, _per_channel(mean, x), out=out)
+        xhat = x - _per_channel(mean, x)
         y = np.square(xhat)  # this call's own temporary: the output goes here
         var = _mean_of_sum(y.sum(axis=axes), count)
         self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
