@@ -272,7 +272,7 @@ class BatchNorm1d(Layer):
             return out
         count = x.size // self.channels
         if count < 2:
-            raise DegenerateBatch(f"train-mode batch norm needs >= 2 per channel, got {count}")
+            raise DegenerateBatch(f"train-mode batch norm needs 2+ values per channel, got {count}")
         mean = _mean_of_sum(x.sum(axis=axes), count)
         xhat = x - _per_channel(mean, x)
         y = np.square(xhat)  # this call's own temporary: the output goes here

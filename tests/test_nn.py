@@ -256,7 +256,7 @@ class TestBatchNorm:
         (var + eps, sqrt, 1 /, gamma *) and c two (a * mean, beta -); a * x and
         the final sum one each. To first order that bounds the error by u times
         4|a||x - mean| + |a||x| + 2|a||mean| + |beta| + |y|; the slack 1.01 covers
-        the second-order terms. Trained models sit at |mean| / sigma of about 2-4.
+        the second-order terms. Trained criterion-5-scale models reach |mean| / sigma of 2.4.
         """
         c, shape = 32, (8, 32, 50)
         bn = self._with_state(rng, c, ratio=ratio)
