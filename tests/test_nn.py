@@ -210,9 +210,9 @@ class TestBatchNorm:
             assert bits(bn.beta.grad) == bits(d_beta)
 
     @staticmethod
-    def _with_state(rng, c, dtype=np.float32, ratio=1.0):
-        """A batch norm with drawn gamma, beta and running statistics, |mean| = ratio * sigma."""
-        bn = nn.BatchNorm1d(c, dtype=dtype)
+    def _with_state(rng, c, ratio=1.0):
+        """A float32 batch norm with drawn gamma, beta and running stats, |mean| = ratio * sigma."""
+        bn = nn.BatchNorm1d(c)
         sigma = rng.uniform(0.5, 2.0, size=c)
         state = (rng.normal(1.0, 0.5, size=c), rng.normal(size=c),
                  ratio * sigma * rng.choice([-1.0, 1.0], size=c), sigma ** 2)
