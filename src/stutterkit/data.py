@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyPodcast, InvalidConfig, ParseError, TooFewPodcasts, UnknownLabel
+from .errors import (DataError, EmptyPodcast, InvalidConfig, ParseError, ShapeMismatch,
+                     TooFewPodcasts, UnknownLabel)
 from .features import read_fmat
 from .model import CLASS_NAMES, StutterClass
 
@@ -70,10 +71,6 @@ class ClipRecord:
     def fluent_label(self) -> int:
         return 0 if self.label == StutterClass.FLUENT else 1
 
-    @property
-    def is_disfluent(self) -> bool:
-        return self.label != StutterClass.FLUENT
-
 
 @dataclass
 class DatasetSplit:
@@ -105,6 +102,15 @@ def shape_of(rec: ClipRecord) -> tuple[int, int]:
     return features_of(rec).shape
 
 
+def feature_sizes(records, headers_only=False) -> tuple[int, np.ndarray]:
+    """The feature row count every record must share with the first, and each one's frames."""
+    shapes = np.array([shape_of(r) if headers_only else features_of(r).shape for r in records])
+    for rec, rows in zip(records, shapes[:, 0]):
+        if rows != shapes[0, 0]:
+            raise ShapeMismatch(f"clip {rec.clip_id} has {rows} feature rows, not {shapes[0, 0]}")
+    return shapes[0, 0], shapes[:, 1]
+
+
 class ClipArray(list):
     """A record list whose feature matrices are rows of one (N, n_mfcc, frames) array.
 
@@ -116,8 +122,7 @@ class ClipArray(list):
 
     def __init__(self, records, dtype=np.float32, speaker_map=None):
         super().__init__(records)
-        shapes = [shape_of(r) for r in self]
-        self.lengths = np.array([t for _, t in shapes])
+        n_mfcc, self.lengths = feature_sizes(self, headers_only=True)
         self.labels = np.array([int(r.label) for r in self], dtype=np.intp)
         self.speaker_map = speaker_map
         if speaker_map is not None:
@@ -131,7 +136,7 @@ class ClipArray(list):
             if not (offsets % base.strides[0]).any():
                 self.base, self.rows = base, offsets // base.strides[0]
                 return
-        self.base = np.zeros((len(self), shapes[0][0], self.lengths.max()), dtype)
+        self.base = np.zeros((len(self), n_mfcc, self.lengths.max()), dtype)
         for row, rec, t in zip(self.base, self, self.lengths):
             # shape_of has made sure that each record has its features or a file
             row[:, :t] = rec.features if rec.features is not None else read_fmat(rec.feature_path)

@@ -266,8 +266,8 @@ def speaker_probe(embeddings, podcast_ids, seed=0, steps=200, lr=1e-2,
     test_idx = np.array(sorted(test_idx))
 
     k, d = len(speakers), emb.shape[1]
-    w = nn.Param.zeros_like(np.zeros((k, d)))
-    b = nn.Param.zeros_like(np.zeros(k))
+    w = nn.Param.zeros((k, d), np.float64)
+    b = nn.Param.zeros((k,), np.float64)
     opt = nn.Adam(lr=lr)
     x_tr, y_tr = emb[train_idx], targets[train_idx]
     for _ in range(steps):

@@ -27,8 +27,6 @@ from scipy.io import wavfile
 
 from .errors import ClipTooShort, CorruptCheckpoint, DataError, InvalidConfig
 
-SAMPLE_RATE_DEFAULT = 16000
-
 FMAT_MAGIC = b"FMAT"
 
 

@@ -102,10 +102,10 @@ class _EncoderBlock:
     def forward(self, x, train):
         y = self.tdnn.forward(x, cache=train)
         if self.bn_first:
-            y = self.bn.forward(y, train, cache=train, out=y)
+            y = self.bn.forward(y, train, out=y)
             return self.relu.forward(y, cache=train, out=y)
         y = self.relu.forward(y, cache=train, out=y)
-        return self.bn.forward(y, train, cache=train, out=y)
+        return self.bn.forward(y, train, out=y)
 
     def backward(self, dy, input_grad=True):
         # dy is always the model's own: the pool's or the next block's input gradient
@@ -142,11 +142,11 @@ class _Head:
         for fc, relu, bn, drop in zip(self.fcs, self.relus, self.bns, self.drops):
             y = fc.forward(y, cache=train)
             if self.bn_first:
-                y = relu.forward(bn.forward(y, train, cache=train, out=y), cache=train)
+                y = relu.forward(bn.forward(y, train, out=y), cache=train)
             else:
                 y = relu.forward(y, cache=train)
-                y = bn.forward(y, train, cache=train, out=y)
-            y = drop.forward(y, train, rng, cache=train)
+                y = bn.forward(y, train, out=y)
+            y = drop.forward(y, train, rng)
         return self.out.forward(y, cache=train)
 
     def backward(self, dy):

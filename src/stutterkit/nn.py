@@ -1,12 +1,12 @@
 """Minimal differentiable kernels: every layer the model needs, nothing more.
 
 The network is a fixed chain with three heads, so each layer carries an
-explicit forward/backward pair instead of a general autodiff tape. Forward
-caches whatever backward needs unless called with cache=False, which keeps
-no state at all; backward reads that cache, drops it, returns the input
-gradient and accumulates parameter gradients in place. Every backward
-formula here is validated against central finite differences (see the
-gradient test suite, tests/gradcases.py).
+explicit forward/backward pair instead of a general autodiff tape. A layer
+caches what backward needs exactly when it trains: BatchNorm1d and Dropout
+take train, the others a cache flag the model sets to train. Backward reads
+that cache, drops it, returns the input gradient and accumulates parameter
+gradients in place. Every backward formula here is validated against
+central finite differences (see the gradient test suite, tests/gradcases.py).
 
 Shapes are batched: temporal tensors are (batch, channels, frames), flat
 tensors are (batch, features). Kernels are deterministic pure functions of
@@ -40,10 +40,6 @@ class Param:
 
     value: np.ndarray
     grad: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, value: np.ndarray) -> "Param":
-        return cls(value=value, grad=np.zeros_like(value))
 
     @classmethod
     def zeros(cls, shape, dtype) -> "Param":
@@ -257,19 +253,16 @@ class BatchNorm1d(Layer):
     def init_params(self, rng=None):
         self.gamma.value[...] = 1.0  # beta stays zero
 
-    def forward(self, x: np.ndarray, train: bool, cache: bool = True, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, out=None) -> np.ndarray:
         if x.ndim not in (2, 3) or x.shape[1] != self.channels:
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
-        axes = (0,) if x.ndim == 2 else (0, 2)
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
-            if cache:  # backward's x-hat, as train mode caches it
-                xhat = (x - _per_channel(self.running_mean, x)) * _per_channel(inv_std, x)
-                self._cache = (xhat, inv_std, train, axes)
             out = np.multiply(x, _per_channel(scale, x), out=out)
             out += _per_channel(self.beta.value - scale * self.running_mean, x)
             return out
+        axes = (0,) if x.ndim == 2 else (0, 2)
         count = x.size // self.channels
         if count < 2:
             raise DegenerateBatch(f"train-mode batch norm needs 2+ values per channel, got {count}")
@@ -281,27 +274,23 @@ class BatchNorm1d(Layer):
         self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= _per_channel(inv_std, x)
-        if cache:
-            self._cache = (xhat, inv_std, train, axes)
+        self._cache = (xhat, inv_std, axes)
         y = np.multiply(_per_channel(self.gamma.value, x), xhat, out=y)
         y += _per_channel(self.beta.value, x)
         return y
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
-        (xhat, inv_std, train, axes), self._cache = self._cache, None
+        (xhat, inv_std, axes), self._cache = self._cache, None
         sum_dy_xhat = (dy * xhat).sum(axis=axes)
         sum_dy = dy.sum(axis=axes)
         self.gamma.grad += sum_dy_xhat
         self.beta.grad += sum_dy
-        g = _per_channel(self.gamma.value * inv_std, dy)
-        if not train:
-            return np.multiply(dy, g, out=out)
         count = dy.size // self.channels
         dx = np.subtract(dy, _per_channel(_mean_of_sum(sum_dy, count), dy), out=out)
         xhat *= _per_channel(_mean_of_sum(sum_dy_xhat, count), dy)
         dx -= xhat
-        dx *= g
+        dx *= _per_channel(self.gamma.value * inv_std, dy)
         return dx
 
 
@@ -361,20 +350,20 @@ class Dropout(Layer):
         self.p = p
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None,
-                cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         mask = None
         if train and self.p != 0.0:
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
             keep = (rng.random(x.shape) >= self.p).astype(x.dtype)
             mask = keep / (1.0 - self.p)
-        if cache:
-            self._cache = mask
+        if train:
+            self._cache = (mask,)  # mask is None when p = 0
         return x if mask is None else x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        mask, self._cache = self._cache, None
+        (mask,), self._cache = self._cache, None
         return dy if mask is None else dy * mask
 
 
@@ -395,28 +384,22 @@ class GradReverse(Layer):
 def softmax_cross_entropy(logits: np.ndarray, target):
     """Cross-entropy loss and its logit gradient.
 
-    1-D logits with an int target give (scalar loss, grad of shape (k,)).
-    2-D (batch, k) logits with an int vector give per-sample losses (batch,)
-    and per-sample grads (batch, k); callers reduce as they see fit.
+    (batch, k) logits with an int target vector give per-sample losses
+    (batch,) and per-sample grads (batch, k); callers reduce as they see fit.
     grad = softmax(logits) - onehot(target).
     """
-    logits = np.asarray(logits)
-    single = logits.ndim == 1
-    lg = logits[None, :] if single else logits
-    tg = np.asarray([target] if single else target, dtype=np.intp)
-    k = lg.shape[1]
+    tg = np.asarray(target, dtype=np.intp)
+    k = logits.shape[1]
     if tg.min(initial=0) < 0 or tg.max(initial=-1) >= k:
         raise IndexOutOfRange(f"target outside [0, {k})")
-    zmax = lg.max(axis=1, keepdims=True)
-    z = lg - zmax
+    zmax = logits.max(axis=1, keepdims=True)
+    z = logits - zmax
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    rows = np.arange(lg.shape[0])
+    rows = np.arange(logits.shape[0])
     losses = -logp[rows, tg]
     grads = np.exp(logp)
     grads[rows, tg] -= 1.0
-    if single:
-        return float(losses[0]), grads[0]
     return losses, grads
 
 

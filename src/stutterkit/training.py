@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import ClipArray, features_of
+from .data import ClipArray, feature_sizes, features_of
 from .errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from .model import PARTITIONS, MultiBranchModel, two_branch
 
@@ -348,8 +348,7 @@ def infer(model: MultiBranchModel, records, batch_size=64) -> Inference:
     if not records:
         raise EmptyBatch("no records to evaluate")
     need = model.arch.min_frames
-    lengths = records.lengths if isinstance(records, ClipArray) else [
-        features_of(rec).shape[1] for rec in records]
+    lengths = records.lengths if isinstance(records, ClipArray) else feature_sizes(records)[1]
     short = [records[i].clip_id for i in np.flatnonzero(np.less(lengths, need))]
     if short:
         raise InputTooShort(f"{len(short)} clip(s) shorter than the {need} frames the "

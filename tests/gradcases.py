@@ -209,7 +209,7 @@ class BatchNormCase(Case):
         self.out = nn.Linear(3, 2, rng, dtype=dtype)
         shape = (2, 3, 7) if temporal else (6, 3)
         self.inputs = {"x": rng.normal(size=shape).astype(dtype)}
-        self.x = nn.Param.zeros_like(self.inputs["x"])  # its value is the input itself
+        self.x = nn.Param(value=self.inputs["x"], grad=np.zeros_like(self.inputs["x"]))
         self.targets = np.array([0, 1]) if temporal else np.array([0, 1, 0, 1, 1, 0])
 
     def params(self):
@@ -263,7 +263,8 @@ class SoftmaxCECase(Case):
 
     def __init__(self, dtype, seed=0):
         rng = np.random.default_rng(seed)
-        self.logits = nn.Param.zeros_like(rng.normal(size=(3, 4)).astype(dtype))
+        logits = rng.normal(size=(3, 4)).astype(dtype)
+        self.logits = nn.Param(value=logits, grad=np.zeros_like(logits))
         self.inputs = {}
         self.targets = np.array([1, 0, 3])
 

@@ -226,7 +226,7 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
     """Batch norm forward and backward by np.mean / np.var, each where it is used.
 
     Eval mode's output is a*x + c with a = gamma / sqrt(running_var + eps) and
-    c = beta - a * running_mean; its gradients still go through x-hat.
+    c = beta - a * running_mean; eval mode has no backward, so its gradients are None.
 
     Every per-channel operand is shaped v[None, :, None] (v[None, :] for 2-D
     input), the broadcast nn.BatchNorm1d must round exactly like.
@@ -246,13 +246,13 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
     else:
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
+    if not train:  # the per-channel affine map a*x + c, a = gamma * inv_std
+        a = gamma * inv_std
+        return shaped(a) * x + shaped(beta - a * mean), None, None, None
     xhat = (x - shaped(mean)) * shaped(inv_std)
     d_gamma = (dy * xhat).sum(axis=axes)
     d_beta = dy.sum(axis=axes)
     g = shaped(gamma * inv_std)
-    if not train:  # the per-channel affine map a*x + c, a = gamma * inv_std
-        a = gamma * inv_std
-        return shaped(a) * x + shaped(beta - a * mean), d_gamma, d_beta, dy * g
     out = shaped(gamma) * xhat + shaped(beta)
     mean_dy = shaped(dy.mean(axis=axes))
     mean_dy_xhat = shaped((dy * xhat).mean(axis=axes))

@@ -409,6 +409,25 @@ class TestExitCodes:
         assert "data error:" in err and "15 frames" in err
         assert err.rstrip().endswith(short.clip_id)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_coefficient_counts_name_the_clip(self, tmp_path, capsys, command):
+        records = generate_synthetic(SyntheticConfig(
+            n_podcasts=3, clips_per_class=4, frames=30, n_mfcc=5, seed=0))
+        odd = records[7]
+        odd.features = odd.features[:4]
+        manifest = _write_feature_corpus(records, tmp_path / "feats")
+        ckpt = tmp_path / "m.ckpt"
+        if command == "train":
+            argv = ["train", "--manifest", manifest, "--out", str(ckpt)] + TRAIN_ARGS
+        else:
+            save_checkpoint(ckpt, build_model(ArchConfig(
+                n_podcasts=3, n_mfcc=5, encoder_channels=(8,) * 5), 0))
+            argv = ["eval", "--checkpoint", str(ckpt), "--manifest", manifest]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "Traceback" not in err
+        assert f"clip {odd.clip_id} has 4 feature rows, not 5" in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
     def test_malformed_checkpoint_directory(self, trained, corpus, tmp_path, capsys, case):
         ckpt = tmp_path / "bad.ckpt"

@@ -51,8 +51,8 @@ class TestClipRecord:
     def test_fluent_pseudo_label(self):
         fluent = ClipRecord("a", "p", StutterClass.FLUENT)
         block = ClipRecord("b", "p", StutterClass.BLOCK)
-        assert fluent.fluent_label == 0 and not fluent.is_disfluent
-        assert block.fluent_label == 1 and block.is_disfluent
+        assert fluent.fluent_label == 0
+        assert block.fluent_label == 1
 
 
 class TestLabels:

@@ -143,7 +143,7 @@ class TestEvaluateModel:
         assert rep.stutter_two_class_accuracy == pytest.approx(s2)
 
     def test_s2ca_absent_without_disfluent_clips(self):
-        records = [r for r in small_records() if not r.is_disfluent]
+        records = [r for r in small_records() if r.fluent_label == 0]
         model = build_model(make_tiny_arch(), seed=1)
         rep = evaluate_model(model, records)
         assert rep.stutter_two_class_accuracy is None

@@ -197,11 +197,11 @@ class TestBatchNorm:
             for a, v in zip((bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var),
                             (gamma, beta, running_mean, running_var)):
                 a[...] = v
-            if not train:  # uncached, eval keeps no x-hat
-                assert bits(bn.forward(x, train, cache=False)) == bits(out)
             assert bits(bn.forward(x, train)) == bits(out)
             assert bits(bn.running_mean) == bits(ref_mean)
             assert bits(bn.running_var) == bits(ref_var)
+            if not train:  # eval mode has no backward
+                break
             grad = dy.copy()
             dx = bn.backward(grad, out=grad if into_dy else None)
             assert bits(dx) == bits(d_x) and (dx is grad) == into_dy
@@ -225,10 +225,9 @@ class TestBatchNorm:
     def test_forward_without_out_leaves_its_input_untouched(self, rng, shape, train):
         x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
         given = x.copy()
-        for cache in (True, False):
-            bn = self._with_state(rng, shape[1])
-            out = bn.forward(x, train, cache=cache)
-            assert out is not x and bits(x) == bits(given)
+        bn = self._with_state(rng, shape[1])
+        out = bn.forward(x, train)
+        assert out is not x and bits(x) == bits(given)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(32, 16), (4, 16, 9)])
@@ -245,8 +244,9 @@ class TestBatchNorm:
         assert not train or bits(buf) == bits(x)
         assert bits(into.running_mean) == bits(bn.running_mean)
         assert bits(into.running_var) == bits(bn.running_var)
-        assert bits(into.backward(dy.copy())) == bits(bn.backward(dy.copy()))
-        assert bits(into.gamma.grad) == bits(bn.gamma.grad)
+        if train:
+            assert bits(into.backward(dy.copy())) == bits(bn.backward(dy.copy()))
+            assert bits(into.gamma.grad) == bits(bn.gamma.grad)
 
     @pytest.mark.parametrize("ratio", [1.0, 3.0, 30.0])
     def test_eval_within_its_float32_roundings_of_float64(self, rng, ratio):
@@ -263,7 +263,7 @@ class TestBatchNorm:
         sigma = np.sqrt(bn.running_var.astype(np.float64))
         x = (bn.running_mean[None, :, None] + sigma[None, :, None] * rng.normal(size=shape)
              ).astype(np.float32)
-        got = bn.forward(x, train=False, cache=False).astype(np.float64)
+        got = bn.forward(x, train=False).astype(np.float64)
         gamma, beta, mean, var = (v.astype(np.float64)[None, :, None] for v in
                                   (bn.gamma.value, bn.beta.value, bn.running_mean,
                                    bn.running_var))
@@ -341,6 +341,27 @@ class TestDropout:
             nn.Dropout(-0.1)
 
 
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("make, shape", [
+    (lambda: nn.BatchNorm1d(4), (6, 4)),
+    (lambda: nn.BatchNorm1d(4), (6, 4, 5)),
+    (lambda: nn.Dropout(0.0), (6, 4)),
+    (lambda: nn.Dropout(0.5), (6, 4)),
+], ids=["batchnorm-2d", "batchnorm-3d", "dropout-p0", "dropout-p0.5"])
+def test_caches_iff_train(rng, make, shape, train):
+    """A layer keeps a cache for backward exactly when it runs in train mode."""
+    layer = make()
+    x = rng.normal(size=shape).astype(np.float32)
+    if isinstance(layer, nn.Dropout):
+        layer.forward(x, train, rng)
+    else:
+        layer.forward(x, train)
+    assert (layer._cache is not None) == train
+    if train:
+        assert layer.backward(np.ones_like(x)).shape == x.shape
+        assert layer._cache is None
+
+
 class TestGradReverse:
     def test_forward_identity_backward_negation(self, rng):
         grl = nn.GradReverse()
@@ -363,13 +384,13 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(p).all()
 
     def test_uniform_logits_hand_value(self):
-        loss, grad = nn.softmax_cross_entropy(np.zeros(2), 0)
+        (loss,), (grad,) = nn.softmax_cross_entropy(np.zeros((1, 2)), [0])
         assert abs(loss - np.log(2.0)) < 1e-12
         np.testing.assert_allclose(grad, [0.5 - 1.0, 0.5], atol=1e-12)
 
     def test_hand_computed_asymmetric_case(self):
         logits = np.array([1.0, 2.0, 3.0])
-        loss, grad = nn.softmax_cross_entropy(logits, 2)
+        (loss,), (grad,) = nn.softmax_cross_entropy(logits[None, :], [2])
         p = np.exp(logits) / np.exp(logits).sum()
         assert abs(loss + np.log(p[2])) < 1e-12
         np.testing.assert_allclose(grad, p - np.eye(3)[2], atol=1e-12)
@@ -379,17 +400,17 @@ class TestSoftmaxCrossEntropy:
         targets = np.array([0, 3, 2, 4])
         losses, grads = nn.softmax_cross_entropy(logits, targets)
         for i in range(4):
-            loss_i, grad_i = nn.softmax_cross_entropy(logits[i], targets[i])
+            (loss_i,), (grad_i,) = nn.softmax_cross_entropy(logits[i : i + 1], targets[i : i + 1])
             assert abs(losses[i] - loss_i) < 1e-12
             np.testing.assert_allclose(grads[i], grad_i, atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([1e4, -1e4]), 1)
-        assert np.isfinite(loss) and np.isfinite(grad).all()
+        loss, grad = nn.softmax_cross_entropy(np.array([[1e4, -1e4]]), [1])
+        assert np.isfinite(loss).all() and np.isfinite(grad).all()
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            nn.softmax_cross_entropy(np.zeros(3), 3)
+            nn.softmax_cross_entropy(np.zeros((1, 3)), [3])
         with pytest.raises(IndexOutOfRange):
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, -1]))
 
@@ -413,8 +434,8 @@ class TestAdam:
         assert abs(p.value[0] - (1.0 - 0.05)) < 1e-9
 
     def test_frozen_params_keep_bits_and_state(self, rng):
-        a = nn.Param.zeros_like(rng.normal(size=(3,)))
-        b = nn.Param.zeros_like(rng.normal(size=(3,)))
+        a = nn.Param(value=rng.normal(size=(3,)), grad=np.zeros(3))
+        b = nn.Param(value=rng.normal(size=(3,)), grad=np.zeros(3))
         before = b.value.copy()
         opt = nn.Adam()
         for _ in range(3):

@@ -18,11 +18,8 @@ script pins its own copy of them on purpose: a fingerprint must not move
 when a checkout's tests do, so editing criterion 5 leaves these alone.
 Each hash covers the epoch-log CSV, the checkpoint bytes of the restored
 model and the Adam state, so any changed bit in training shows. The state
-is hashed by partition, the part of each state key before its first ".":
-the partition's name and its one step count t, then the m bytes and the v
-bytes of its keys in sorted-key order. State kept per parameter name and
-state kept per partition thus hash alike when their moments agree, so
-checkouts on either side of that change compare.
+is hashed per key (one per partition) in sorted-key order: the key and its
+step count t, then its m bytes and its v bytes.
 
 Those eight lines train on equal-length clips. `mtl-0.3-mixed` trains the
 mtl-0.3 configuration on 200 clips per class of 15-25 frames instead, so
@@ -84,17 +81,10 @@ def fingerprint(name, overrides, split, arch, workdir) -> str:
     for path in (log_path, ckpt_path):
         with open(path, "rb") as fh:
             h.update(fh.read())
-    groups = {}
-    for key, st in sorted(result.optimizer.state.items()):
-        groups.setdefault(key.split(".", 1)[0], []).append(st)
-    for part, states in groups.items():
-        steps = {st["t"] for st in states}
-        if len(steps) != 1:
-            raise RuntimeError(f"{part}: keys at different step counts {sorted(steps)}")
-        h.update(f"{part} t={steps.pop()}".encode())
+    for part, st in sorted(result.optimizer.state.items()):
+        h.update(f"{part} t={st['t']}".encode())
         for moment in ("m", "v"):
-            for st in states:
-                h.update(st[moment].tobytes())
+            h.update(st[moment].tobytes())
     return h.hexdigest()
 
 
