@@ -58,7 +58,7 @@ def save_checkpoint(path, model: MultiBranchModel, speaker_map=None, extra=None)
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(blob)))
         fh.write(blob)
         for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").data)
 
 
 def _read_header(fh, path):

@@ -29,15 +29,16 @@ import numpy as np
 from .checkpoint import inspect_checkpoint, load_checkpoint, save_checkpoint
 from .data import (
     SyntheticConfig,
+    count_by_class,
     features_of,
     generate_synthetic,
     load_manifest,
-    parse_label,
     split_by_podcast,
     split_within_podcast,
     write_manifest,
 )
-from .errors import ConfigError, DataError, NumericError, StutterKitError, UnknownLabel
+from .errors import (ConfigError, DataError, InvalidConfig, NumericError, StutterKitError,
+                     UnknownLabel)
 from .evaluate import evaluate_model, export_embeddings, read_embeddings, speaker_probe
 from .features import AudioClip, MfccConfig, extract_features, read_wav, write_fmat
 from .model import ArchConfig, build_model
@@ -67,14 +68,10 @@ def _parse_contexts(s):
 
 
 def _parse_counts(s):
-    """Either one total per class, or Name:count pairs (e.g. Fluent:16,Block:12)."""
+    """Either one total per class, or Name:count pairs (e.g. Fluent:16,Block:12), one per class."""
     if ":" not in s:
         return int(s)
-    out = {}
-    for pair in s.split(","):
-        name, _, count = pair.partition(":")
-        out[parse_label(name)] = int(count)
-    return out
+    return count_by_class(pair.partition(":")[::2] for pair in s.split(","))
 
 
 def _opt_int(s):
@@ -116,7 +113,7 @@ class RunConfig:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         try:
             self.sections[section][fieldname] = parsers[fieldname](raw)
-        except (ValueError, UnknownLabel) as exc:
+        except (ValueError, UnknownLabel, InvalidConfig) as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
     @classmethod

@@ -414,6 +414,9 @@ class SyntheticConfig:
             counts = self.class_counts()
         except UnknownLabel as exc:
             raise InvalidConfig(f"clips_per_class: {exc}") from exc
+        missing = [CLASS_NAMES[c] for c in StutterClass if c not in counts]
+        if missing:
+            raise InvalidConfig(f"clips_per_class has no count for {', '.join(missing)}")
         if min(self.n_podcasts, self.n_mfcc, self.frames, *counts.values()) < 1:
             raise InvalidConfig("n_podcasts, n_mfcc, frames and class counts must be >= 1")
         if not (0.0 <= self.rho <= 1.0):
@@ -428,11 +431,19 @@ class SyntheticConfig:
 
     def class_counts(self) -> dict[StutterClass, int]:
         if isinstance(self.clips_per_class, dict):
-            return {
-                (c if isinstance(c, StutterClass) else parse_label(str(c))): int(n)
-                for c, n in self.clips_per_class.items()
-            }
+            return count_by_class(self.clips_per_class.items())
         return {c: int(self.clips_per_class) for c in StutterClass}
+
+
+def count_by_class(pairs) -> dict[StutterClass, int]:
+    """{class: count} from (class or class name, count) pairs; a class given twice is an error."""
+    counts = {}
+    for c, n in pairs:
+        cls = c if isinstance(c, StutterClass) else parse_label(str(c))
+        if cls in counts:
+            raise InvalidConfig(f"clips_per_class gives {CLASS_NAMES[cls]} twice")
+        counts[cls] = int(n)
+    return counts
 
 
 def _patterns(cfg: SyntheticConfig, rng):
@@ -454,32 +465,25 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[ClipRecord]:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     class_patterns, podcast_perp, podcast_par = _patterns(cfg, rng)
-    dim = cfg.n_mfcc * cfg.frames
-
-    records = []
     counts = cfg.class_counts()
+    clips = [(cls, i % cfg.n_podcasts, i) for cls in StutterClass for i in range(counts[cls])]
+    shape = (len(clips), cfg.n_mfcc, cfg.frames)
+    # Each (class, podcast) pair's noiseless signal, made once by the arithmetic of one clip.
+    signals = {(c, p): (cfg.alpha * class_patterns[c] + cfg.beta * (
+        (1.0 - cfg.rho) * podcast_perp[p] + cfg.rho * podcast_par[p])).reshape(shape[1:])
+        for c, p in {clip[:2] for clip in clips}}
     # Its own anonymous mapping, not one large malloc chunk: freeing it unmaps it at once, and
-    # it leaves glibc's dynamic mmap and trim thresholds alone for the rest of the process.
-    shape = (sum(counts.values()), cfg.n_mfcc, cfg.frames)
+    # it leaves glibc's dynamic mmap and trim thresholds alone for the rest of the process. For
+    # the same reason the noise comes in blocks of at most 64 KiB of float64, below the 128 KiB
+    # threshold glibc starts with, so no temporary here is mmapped and freed.
     buf = mmap.mmap(-1, 4 * shape[0] * shape[1] * shape[2], flags=mmap.MAP_PRIVATE)
     corpus = np.ndarray(shape, np.float32, buffer=buf)
-    for cls in StutterClass:
-        for i in range(counts[cls]):
-            podcast = i % cfg.n_podcasts
-            signal = (
-                cfg.alpha * class_patterns[cls]
-                + cfg.beta
-                * ((1.0 - cfg.rho) * podcast_perp[podcast] + cfg.rho * podcast_par[podcast])
-                + cfg.sigma * rng.normal(size=dim)
-            )
-            feats = corpus[len(records)]
-            feats[...] = signal.reshape(feats.shape)  # rounds as astype(np.float32) does
-            records.append(
-                ClipRecord(
-                    clip_id=f"syn_{CLASS_NAMES[cls].lower()}_{i:04d}",
-                    podcast_id=f"pod{podcast}",
-                    label=cls,
-                    features=feats,
-                )
-            )
-    return records
+    block = max(1, 8192 // (cfg.n_mfcc * cfg.frames))
+    for lo in range(0, len(clips), block):
+        noise = rng.normal(size=corpus[lo:lo + block].shape)  # each clip's draw, in order
+        noise *= cfg.sigma
+        for row, (c, p, _) in zip(noise, clips[lo:lo + block]):
+            row += signals[c, p]  # addition commutes: signal + sigma * noise, to the bit
+        corpus[lo:lo + block] = noise  # rounds as astype(np.float32) does
+    return [ClipRecord(clip_id=f"syn_{CLASS_NAMES[c].lower()}_{i:04d}", podcast_id=f"pod{p}",
+                       label=c, features=feats) for (c, p, i), feats in zip(clips, corpus)]

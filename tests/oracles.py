@@ -260,19 +260,23 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
 
 
 def per_clip_synthetic(cfg):
-    """generate_synthetic's feature matrices, each made by its own astype(np.float32)."""
+    """generate_synthetic's clips one at a time: (clip_id, podcast_id, label, features) each.
+
+    Each clip makes its own signal, its own draw and its own astype(np.float32).
+    """
     from stutterkit.data import _patterns
-    from stutterkit.model import StutterClass
+    from stutterkit.model import CLASS_NAMES, StutterClass
 
     rng = np.random.default_rng(cfg.seed)
     class_patterns, podcast_perp, podcast_par = _patterns(cfg, rng)
     counts = cfg.class_counts()
-    feats = []
+    clips = []
     for cls in StutterClass:
         for i in range(counts[cls]):
             p = i % cfg.n_podcasts
             signal = (cfg.alpha * class_patterns[cls]
                       + cfg.beta * ((1.0 - cfg.rho) * podcast_perp[p] + cfg.rho * podcast_par[p])
                       + cfg.sigma * rng.normal(size=cfg.n_mfcc * cfg.frames))
-            feats.append(signal.reshape(cfg.n_mfcc, cfg.frames).astype(np.float32))
-    return feats
+            clips.append((f"syn_{CLASS_NAMES[cls].lower()}_{i:04d}", f"pod{p}", cls,
+                          signal.reshape(cfg.n_mfcc, cfg.frames).astype(np.float32)))
+    return clips

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stutterkit.checkpoint import (
 )
 from stutterkit.data import SyntheticConfig, generate_synthetic
 from stutterkit.errors import CorruptCheckpoint, InvalidConfig
-from stutterkit.model import build_model
+from stutterkit.model import ArchConfig, build_model
 from stutterkit.training import TrainConfig, train
 
 
@@ -72,6 +73,26 @@ class TestRoundtrip:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 100])
         assert inspect_checkpoint(path) == header
+
+    def test_bytes_match_a_reference_writer(self, trained):
+        # prefix, header, then each tensor's tobytes() in sorted-name order
+        model, path = trained
+        blob = json.dumps(inspect_checkpoint(path), sort_keys=True).encode("utf-8")
+        arrays = model.state_arrays()
+        want = struct.pack("<4sII", MAGIC, VERSION, len(blob)) + blob + b"".join(
+            arrays[name].astype("<f4").tobytes() for name in sorted(arrays))
+        assert path.read_bytes() == want
+
+    def test_save_copies_no_tensor(self, tmp_path):
+        model = build_model(ArchConfig(n_podcasts=4, encoder_channels=(128,) * 5), seed=0)
+        largest = max(a.nbytes for a in model.state_arrays().values())
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "m.ckpt", model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest, (peak, largest)
 
     def test_refuses_float64_models(self, tmp_path):
         model = build_model(make_tiny_arch(), seed=0, dtype=np.float64)

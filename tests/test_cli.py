@@ -55,6 +55,11 @@ class TestRunConfig:
         assert cfg["mfcc"]["fft_size"] is None
         assert cfg["split"]["ratios"] == (0.8, 0.1, 0.1)
 
+    @pytest.mark.parametrize("pairs", ["Fluent:3,fluent:5", "Block:1,Fluent:3,FLUENT:3"])
+    def test_class_given_twice_in_counts(self, pairs):
+        with pytest.raises(ConfigError, match="synth.clips_per_class: .*gives Fluent twice"):
+            RunConfig.load(overrides=[f"synth.clips_per_class={pairs}"])
+
     def test_scalar_counts(self):
         cfg = RunConfig.load(overrides=["synth.clips_per_class=20"])
         assert cfg["synth"]["clips_per_class"] == 20
@@ -156,6 +161,11 @@ MALFORMED_VALUES = [
     (["synth.n_mfcc=0"], "n_mfcc"),
     (["synth.n_podcasts=200", "synth.n_mfcc=2", "synth.frames=3"], "n_mfcc * frames"),
     (["synth.clips_per_class=Foo:3"], "synth.clips_per_class"),
+    # README's pair syntax, with the three classes it leaves out named
+    (["synth.clips_per_class=Fluent:16,Block:12"], "no count for Repetition, Prolongation, "
+                                                   "Interjection"),
+    (["synth.clips_per_class=Fluent:3,fluent:5,Repetition:2,Prolongation:2,Block:2,"
+      "Interjection:2"], "gives Fluent twice"),
 ]
 
 

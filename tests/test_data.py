@@ -380,18 +380,42 @@ class TestSyntheticCorpus:
         residual = b_par - (b_par @ a.T) @ a
         assert np.allclose(residual, 0.0, atol=1e-12)
 
-    def test_features_are_rows_of_one_float32_array(self):
-        cfg = SyntheticConfig(n_podcasts=3, frames=7, n_mfcc=4, rho=0.4, sigma=0.7, seed=5,
-                              clips_per_class={"Fluent": 5, "Repetition": 2, "Prolongation": 3,
-                                               "Block": 1, "Interjection": 4})
+    @staticmethod
+    def check_against_per_clip_oracle(cfg):
         records = generate_synthetic(cfg)
         want = per_clip_synthetic(cfg)
-        assert len(records) == len(want) == 15
-        assert all(r.features.tobytes() == w.tobytes() for r, w in zip(records, want))
+        assert [(r.clip_id, r.podcast_id, r.label) for r in records] == [w[:3] for w in want]
+        assert all(r.features.tobytes() == w[3].tobytes() for r, w in zip(records, want))
         corpus = records[0].features.base
-        assert corpus.dtype == np.float32 and corpus.shape == (15, 4, 7)
+        assert corpus.dtype == np.float32
+        assert corpus.shape == (len(want), cfg.n_mfcc, cfg.frames)
         assert all(r.features.base is corpus and np.shares_memory(r.features, corpus)
                    for r in records)
+
+    def test_features_are_rows_of_one_float32_array(self):
+        self.check_against_per_clip_oracle(SyntheticConfig(
+            n_podcasts=3, frames=7, n_mfcc=4, rho=0.4, sigma=0.7, seed=5,
+            clips_per_class={"Fluent": 5, "Repetition": 2, "Prolongation": 3, "Block": 1,
+                             "Interjection": 4}))
+
+    # generate_synthetic draws the noise in blocks of max(1, 8192 // (n_mfcc * frames)) clips
+    @pytest.mark.parametrize("kw", [
+        # 6000 values a clip: blocks of one clip; train-paper's class map
+        dict(n_podcasts=4, frames=300, n_mfcc=20, alpha=2.0, beta=2.0, rho=0.6, sigma=0.3,
+             clips_per_class={"Fluent": 12, "Repetition": 12, "Prolongation": 12, "Block": 12,
+                              "Interjection": 12}),
+        # 60 values a clip: one block of 35 clips, shorter than a whole block
+        dict(n_podcasts=3, frames=12, n_mfcc=5, clips_per_class=7, alpha=1.3, beta=0.7, rho=0.4,
+             sigma=0.7),
+        # 400 values a clip: blocks of 20 across class boundaries, then a ragged 5
+        dict(n_podcasts=3, frames=20, n_mfcc=20, clips_per_class=9, rho=0.0, sigma=0.3),
+        dict(n_podcasts=3, frames=7, n_mfcc=4, rho=1.0, sigma=0.7,
+             clips_per_class={"Fluent": 5, "Repetition": 2, "Prolongation": 3, "Block": 1,
+                              "Interjection": 4}),
+        dict(n_podcasts=2, frames=12, n_mfcc=5, clips_per_class=3, rho=0.4, sigma=0.0),
+    ], ids=["one-clip-blocks", "one-short-block", "ragged-blocks", "rho1", "sigma0"])
+    def test_blocks_match_the_per_clip_oracle(self, kw):
+        self.check_against_per_clip_oracle(SyntheticConfig(seed=5, **kw))
 
     def test_feature_shape_and_dtype(self):
         cfg = SyntheticConfig(n_mfcc=6, frames=11, clips_per_class=2)
@@ -419,3 +443,18 @@ class TestSyntheticCorpus:
     def test_bad_config_rejected(self, kw):
         with pytest.raises(InvalidConfig):
             SyntheticConfig(**kw).validate()
+
+    def test_class_map_without_a_class_names_each_missing_one(self):
+        cfg = SyntheticConfig(clips_per_class={"Fluent": 16, StutterClass.BLOCK: 12})
+        with pytest.raises(InvalidConfig, match="no count for Repetition, Prolongation, "
+                                                "Interjection$"):
+            generate_synthetic(cfg)
+
+    @pytest.mark.parametrize("first, second", [("Fluent", "fluent"),
+                                               (StutterClass.FLUENT, " FLUENT ")])
+    def test_class_given_twice_rejected(self, first, second):
+        counts = dict.fromkeys(["Repetition", "Prolongation", "Block", "Interjection"], 2)
+        cfg = SyntheticConfig(clips_per_class={first: 3, second: 5, **counts})
+        for call in (cfg.class_counts, cfg.validate):
+            with pytest.raises(InvalidConfig, match="gives Fluent twice"):
+                call()

@@ -20,7 +20,11 @@ It prints, per pass:
   - the median probe and valid accuracy of each objective;
   - the paired adv - baseline valid accuracy difference over the 15 seeds:
     mean, median and a 95% bootstrap interval of the mean (10000 resamples
-    of the seeds, generator seed 0).
+    of the seeds, generator seed 0);
+  - criterion 5's verdict on seeds 0-4, with its thresholds pinned here:
+    PASS when mtl's median probe accuracy is at least 10 points above
+    adv's and adv's median valid accuracy is within 5 points of
+    baseline's.
 
 The `exact` pass trains from build_model's initial weights. The `ulp` pass
 repeats all 45 runs with every initial weight moved one ulp towards +inf
@@ -46,6 +50,9 @@ SEEDS = range(15)
 OBJECTIVES = ("baseline", "mtl", "adv")
 PASSES = ("exact", "ulp")
 RESAMPLES = 10000
+VERDICT_SEEDS = range(5)  # criterion 5's seeds and thresholds (tests/test_acceptance.py)
+MIN_PROBE_GAP = 0.10
+MAX_VALID_DIFF = 0.05
 
 _corpus = None
 
@@ -101,6 +108,22 @@ def paired(rows):
     return np.array([rows["adv", s][1] - rows["baseline", s][1] for s in SEEDS])
 
 
+def verdict(rows) -> tuple[bool, str]:
+    """Criterion 5 on seeds 0-4 of one pass's rows: (passed, the line that says so)."""
+    import numpy as np
+
+    probe, valid = ({o: float(np.median([rows[o, s][i] for s in VERDICT_SEEDS]))
+                     for o in OBJECTIVES} for i in (0, 1))
+    gap = probe["mtl"] - probe["adv"]
+    diff = abs(valid["adv"] - valid["baseline"])
+    ok = gap >= MIN_PROBE_GAP and diff <= MAX_VALID_DIFF
+    return ok, (f"criterion 5 on seeds 0-4: {'PASS' if ok else 'FAIL'}, median probe mtl "
+                f"{probe['mtl']:.3f} vs adv {probe['adv']:.3f} (gap {100 * gap:.1f} pts, need "
+                f">= {100 * MIN_PROBE_GAP:.0f}), adv valid acc {valid['adv']:.3f} vs baseline "
+                f"{valid['baseline']:.3f} (|diff| {100 * diff:.1f} pts, need <= "
+                f"{100 * MAX_VALID_DIFF:.0f})")
+
+
 def report(name, rows):
     import numpy as np
 
@@ -117,7 +140,8 @@ def report(name, rows):
     lo, hi = np.percentile(d[boot].mean(axis=1), [2.5, 97.5])
     print(f"{name:<5}  adv - baseline valid acc: mean {100 * d.mean():+.2f} pts, median "
           f"{100 * np.median(d):+.2f} pts, 95% bootstrap interval of the mean "
-          f"[{100 * lo:+.2f}, {100 * hi:+.2f}] pts", flush=True)
+          f"[{100 * lo:+.2f}, {100 * hi:+.2f}] pts")
+    print(f"{name:<5}  {verdict(rows)[1]}", flush=True)
 
 
 def main(argv=None) -> int:
