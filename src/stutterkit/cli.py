@@ -71,7 +71,8 @@ def _parse_counts(s):
     """Either one total per class, or Name:count pairs (e.g. Fluent:16,Block:12), one per class."""
     if ":" not in s:
         return int(s)
-    return count_by_class(pair.partition(":")[::2] for pair in s.split(","))
+    pairs = (pair.partition(":")[::2] for pair in s.split(","))
+    return count_by_class((c, int(n)) for c, n in pairs)
 
 
 def _opt_int(s):

@@ -432,16 +432,19 @@ class SyntheticConfig:
     def class_counts(self) -> dict[StutterClass, int]:
         if isinstance(self.clips_per_class, dict):
             return count_by_class(self.clips_per_class.items())
-        return {c: int(self.clips_per_class) for c in StutterClass}
+        return count_by_class((c, self.clips_per_class) for c in StutterClass)
 
 
 def count_by_class(pairs) -> dict[StutterClass, int]:
-    """{class: count} from (class or class name, count) pairs; a class given twice is an error."""
+    """{class: count} from (class or class name, count) pairs; each count must be an int, not a
+    bool, and a class given twice is an error."""
     counts = {}
     for c, n in pairs:
         cls = c if isinstance(c, StutterClass) else parse_label(str(c))
         if cls in counts:
             raise InvalidConfig(f"clips_per_class gives {CLASS_NAMES[cls]} twice")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise InvalidConfig(f"clips_per_class gives {CLASS_NAMES[cls]} {n!r}, not an integer")
         counts[cls] = int(n)
     return counts
 

@@ -22,8 +22,10 @@ encoder's change as stutter_only and joint_grl begin. A lambda that changes
 within a stage is no restart.
 
 Each epoch's valid_stutter_loss and valid_acc come from one eval-mode pass
-over the validation set (infer), train_acc from one over the training set;
-the epoch-log CSV format is unchanged.
+over the validation set (infer). train_acc is the running accuracy of the
+steps: the share of stepped clips the two-branch rule classified correctly
+from their own step's forward, whose trained heads run in train mode; the
+epoch-log CSV format is unchanged.
 """
 
 from __future__ import annotations
@@ -376,6 +378,9 @@ def dataset_accuracy(model: MultiBranchModel, records, batch_size=64) -> float:
 
 @dataclass
 class EpochRecord:
+    """One epoch-log row. l_* and train_acc average the epoch's stepped clips (l_disfluent its
+    disfluent ones), each from its own step's forward; valid_* come from one infer pass."""
+
     epoch: int
     stage: str
     lam: float
@@ -467,20 +472,18 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
             drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
 
             sum_f = sum_d = sum_s = 0.0
-            seen = seen_dis = 0
+            seen = seen_dis = hits = 0
             for rng_idx in _batch_ranges(n, cfg.batch_size):
                 idx = order[list(rng_idx)]
                 if idx.size == 1 and n > 1:
                     log.warning("dropping size-1 trailing batch (batch norm needs >= 2)")
                     continue
-                x, y, ys = make_batch(
-                    records=train_records,
-                    indices=idx,
-                    speaker_map=smap if track_speaker else None,
-                    dtype=model.dtype,
-                )
+                x, y, ys = make_batch(records=train_records, indices=idx,
+                                      speaker_map=smap if track_speaker else None,
+                                      dtype=model.dtype)
                 _, lf, ld, ls = model.forward(x, train=parts, rng=drop_rng,
                                               grl_lambda=lam if reversal else None)
+                hits += int((two_branch(lf, ld) == y).sum())
                 losses = compute_losses(lf, ld, ls, y, ys)
                 grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
                 model.backward(*(weight[h] * grads[h] if h in parts else None
@@ -509,17 +512,10 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 valid = infer(model, valid_records, cfg.batch_size)
                 valid_stutter, valid_acc = valid.stutter_loss, valid.accuracy
             rec = EpochRecord(
-                epoch=epoch,
-                stage=stage,
-                lam=lam,
-                l_fluent=l_fluent,
-                l_disfluent=l_disfluent,
+                epoch=epoch, stage=stage, lam=lam, l_fluent=l_fluent, l_disfluent=l_disfluent,
                 l_speaker=l_speaker,
                 l_total=loss_total(stage, lam, l_fluent, l_disfluent, l_speaker),
-                valid_stutter_loss=valid_stutter,
-                train_acc=infer(model, train_records, cfg.batch_size).accuracy,
-                valid_acc=valid_acc,
-            )
+                valid_stutter_loss=valid_stutter, train_acc=hits / seen, valid_acc=valid_acc)
             result.history.append(rec)
             if writer:
                 writer.writerow(rec.row())

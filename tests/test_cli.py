@@ -60,6 +60,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="synth.clips_per_class: .*gives Fluent twice"):
             RunConfig.load(overrides=[f"synth.clips_per_class={pairs}"])
 
+    @pytest.mark.parametrize("pairs", ["Fluent:x", "Fluent:2.5,Block:2", "Fluent:"])
+    def test_non_integer_pair_count(self, pairs):
+        with pytest.raises(ConfigError, match="synth.clips_per_class: invalid literal for int"):
+            RunConfig.load(overrides=[f"synth.clips_per_class={pairs}"])
+
     def test_scalar_counts(self):
         cfg = RunConfig.load(overrides=["synth.clips_per_class=20"])
         assert cfg["synth"]["clips_per_class"] == 20

@@ -458,3 +458,22 @@ class TestSyntheticCorpus:
         for call in (cfg.class_counts, cfg.validate):
             with pytest.raises(InvalidConfig, match="gives Fluent twice"):
                 call()
+
+    @pytest.mark.parametrize("count, name", [
+        ({"Fluent": "x"}, "Fluent 'x'"), ({"Block": 2.5}, "Block 2.5"), (2.5, "Fluent 2.5"),
+        ({"Fluent": "3"}, "Fluent '3'"), ({"Interjection": True}, "Interjection True"),
+        (True, "Fluent True"), ({"Repetition": 3.0}, "Repetition 3.0"),
+    ])
+    def test_non_integer_count_rejected(self, count, name):
+        if isinstance(count, dict):
+            count = {**dict.fromkeys(["Fluent", "Repetition", "Prolongation", "Block",
+                                      "Interjection"], 2), **count}
+        cfg = SyntheticConfig(clips_per_class=count)
+        for call in (cfg.class_counts, cfg.validate, lambda: generate_synthetic(cfg)):
+            with pytest.raises(InvalidConfig, match=f"gives {name}, not an integer"):
+                call()
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = SyntheticConfig(clips_per_class=np.int64(3)).class_counts()
+        assert counts == dict.fromkeys(StutterClass, 3)
+        assert all(type(n) is int for n in counts.values())

@@ -12,7 +12,7 @@ from stutterkit.data import ClipArray, ClipRecord, SyntheticConfig, generate_syn
 from stutterkit.errors import DataError, EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from stutterkit.evaluate import confusion, evaluate_model, export_embeddings, read_embeddings
 from stutterkit.features import write_fmat
-from stutterkit.model import ArchConfig, build_model
+from stutterkit.model import ArchConfig, build_model, two_branch
 from stutterkit.training import (
     LOG_COLUMNS,
     EarlyStopper,
@@ -582,8 +582,68 @@ class TestTrainLoop:
         result = train(build_model(make_tiny_arch(), seed=0), train_recs, valid, cfg)
         assert len(result.history) == 2
         assert clips["valid"] == 2 * len(valid)
-        # per epoch: the step batches, then one train_acc pass
-        assert clips["train"] == 2 * 2 * len(train_recs)
+        # per epoch: the step batches only; train_acc comes from their forwards
+        assert len(train_recs) % cfg.batch_size == 0  # no batch is dropped
+        assert clips["train"] == 2 * len(train_recs)
+
+    @pytest.mark.parametrize("with_valid", [True, False])
+    def test_infer_runs_once_per_epoch_on_the_valid_set_only(self, monkeypatch, with_valid):
+        records = tiny_corpus()
+        train_recs, valid = self.split(records)
+        if not with_valid:
+            valid = []
+        valid_ids = [r.clip_id for r in valid]
+        passes = []
+        real_infer = training.infer
+
+        def counting(model, records, *args, **kwargs):
+            passes.append([r.clip_id for r in records])
+            return real_infer(model, records, *args, **kwargs)
+
+        monkeypatch.setattr(training, "infer", counting)
+        cfg = TrainConfig(objective="mtl", max_epochs=3, batch_size=8, seed=0, patience=50)
+        result = train(build_model(make_tiny_arch(), seed=0), train_recs, valid, cfg)
+        assert len(result.history) == 3
+        assert passes == [valid_ids] * (3 if with_valid else 0)
+
+    @pytest.mark.parametrize("objective", ["baseline", "mtl", "adv"])
+    def test_train_acc_counts_each_steps_own_forward(self, monkeypatch, objective):
+        # 17 clips in batches of 8 leave a size-1 trailing batch, which is not stepped
+        records = tiny_corpus(n_podcasts=3, clips_per_class=5)[:17]
+        model = build_model(make_tiny_arch(), seed=2)
+        batches = []  # (labels, fluent logits, disfluent logits) of each step this epoch
+        labels = []
+        make, forward = training.make_batch, model.forward
+
+        def recording_make(*args, **kwargs):
+            out = make(*args, **kwargs)
+            labels.append(out[1].copy())
+            return out
+
+        def recording_forward(x, *args, **kwargs):
+            out = forward(x, *args, **kwargs)
+            assert kwargs.get("train")  # only the steps forward; no eval pass
+            batches.append((labels[-1], out[1].copy(), out[2].copy()))
+            return out
+
+        per_epoch = []
+
+        def close_epoch(rec, m):
+            hits = sum(int((two_branch(lf, ld) == y).sum()) for y, lf, ld in batches)
+            per_epoch.append((rec.stage, hits, sum(len(y) for y, _, _ in batches)))
+            batches.clear()
+
+        monkeypatch.setattr(training, "make_batch", recording_make)
+        monkeypatch.setattr(model, "forward", recording_forward)
+        cfg = TrainConfig(objective=objective, lam=0.3, max_epochs=4, batch_size=8, lr=1e-2,
+                          seed=5, stage_bounds=(1, 2, 3), stage1_trains_encoder=False)
+        result = train(model, records, [], cfg, callback=close_epoch)
+        stages = [stage for stage, _, _ in per_epoch]
+        if objective == "adv":
+            assert stages == ["speaker_only", "stutter_only", "joint_grl", "recovery"]
+        assert [seen for _, _, seen in per_epoch] == [16] * 4
+        assert [rec.train_acc for rec in result.history] == [
+            hits / seen for _, hits, seen in per_epoch]
 
     def test_log_format(self, tmp_path):
         records = tiny_corpus()
