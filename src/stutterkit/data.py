@@ -436,8 +436,7 @@ class SyntheticConfig:
 
 
 def count_by_class(pairs) -> dict[StutterClass, int]:
-    """{class: count} from (class or class name, count) pairs; each count must be an int, not a
-    bool, and a class given twice is an error."""
+    """{class: count} from (class or class name, int count) pairs; no class may come twice."""
     counts = {}
     for c, n in pairs:
         cls = c if isinstance(c, StutterClass) else parse_label(str(c))

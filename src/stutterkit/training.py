@@ -22,10 +22,9 @@ encoder's change as stutter_only and joint_grl begin. A lambda that changes
 within a stage is no restart.
 
 Each epoch's valid_stutter_loss and valid_acc come from one eval-mode pass
-over the validation set (infer). train_acc is the running accuracy of the
-steps: the share of stepped clips the two-branch rule classified correctly
-from their own step's forward, whose trained heads run in train mode; the
-epoch-log CSV format is unchanged.
+over the validation set (infer); train_acc is the running accuracy of the
+epoch's steps, each clip judged by its own step's forward. The epoch-log CSV
+format is unchanged.
 """
 
 from __future__ import annotations
@@ -378,8 +377,7 @@ def dataset_accuracy(model: MultiBranchModel, records, batch_size=64) -> float:
 
 @dataclass
 class EpochRecord:
-    """One epoch-log row. l_* and train_acc average the epoch's stepped clips (l_disfluent its
-    disfluent ones), each from its own step's forward; valid_* come from one infer pass."""
+    """One epoch-log row: l_* and train_acc from the epoch's own steps, valid_* from infer."""
 
     epoch: int
     stage: str
@@ -478,9 +476,12 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 if idx.size == 1 and n > 1:
                     log.warning("dropping size-1 trailing batch (batch norm needs >= 2)")
                     continue
-                x, y, ys = make_batch(records=train_records, indices=idx,
-                                      speaker_map=smap if track_speaker else None,
-                                      dtype=model.dtype)
+                x, y, ys = make_batch(
+                    records=train_records,
+                    indices=idx,
+                    speaker_map=smap if track_speaker else None,
+                    dtype=model.dtype,
+                )
                 _, lf, ld, ls = model.forward(x, train=parts, rng=drop_rng,
                                               grl_lambda=lam if reversal else None)
                 hits += int((two_branch(lf, ld) == y).sum())

@@ -463,7 +463,8 @@ class TestSyntheticCorpus:
         ({"Fluent": "x"}, "Fluent 'x'"), ({"Block": 2.5}, "Block 2.5"), (2.5, "Fluent 2.5"),
         ({"Fluent": "3"}, "Fluent '3'"), ({"Interjection": True}, "Interjection True"),
         (True, "Fluent True"), ({"Repetition": 3.0}, "Repetition 3.0"),
-    ])
+    ], ids=["map-str", "map-float", "scalar-float", "map-digits", "map-bool", "scalar-bool",
+            "map-whole-float"])
     def test_non_integer_count_rejected(self, count, name):
         if isinstance(count, dict):
             count = {**dict.fromkeys(["Fluent", "Repetition", "Prolongation", "Block",

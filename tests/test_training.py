@@ -630,7 +630,7 @@ class TestTrainLoop:
 
         def close_epoch(rec, m):
             hits = sum(int((two_branch(lf, ld) == y).sum()) for y, lf, ld in batches)
-            per_epoch.append((rec.stage, hits, sum(len(y) for y, _, _ in batches)))
+            per_epoch.append((hits, sum(len(y) for y, _, _ in batches)))
             batches.clear()
 
         monkeypatch.setattr(training, "make_batch", recording_make)
@@ -638,12 +638,12 @@ class TestTrainLoop:
         cfg = TrainConfig(objective=objective, lam=0.3, max_epochs=4, batch_size=8, lr=1e-2,
                           seed=5, stage_bounds=(1, 2, 3), stage1_trains_encoder=False)
         result = train(model, records, [], cfg, callback=close_epoch)
-        stages = [stage for stage, _, _ in per_epoch]
         if objective == "adv":
-            assert stages == ["speaker_only", "stutter_only", "joint_grl", "recovery"]
-        assert [seen for _, _, seen in per_epoch] == [16] * 4
+            assert [rec.stage for rec in result.history] == [
+                "speaker_only", "stutter_only", "joint_grl", "recovery"]
+        assert [seen for _, seen in per_epoch] == [16] * 4
         assert [rec.train_acc for rec in result.history] == [
-            hits / seen for _, hits, seen in per_epoch]
+            hits / seen for hits, seen in per_epoch]
 
     def test_log_format(self, tmp_path):
         records = tiny_corpus()
