@@ -379,7 +379,7 @@ def kfold(records, k=10, seed=0, by="podcast") -> list[DatasetSplit]:
             folds.append(units[start : start + s])
             start += s
     else:
-        raise ValueError(f"unknown fold granularity {by!r}")
+        raise InvalidConfig(f"unknown fold granularity {by!r}; expected 'podcast' or 'clip'")
     splits = []
     for i in range(k):
         train = [r for j, fold in enumerate(folds) if j != i for r in fold]

@@ -99,21 +99,29 @@ class _EncoderBlock:
         self.bn = nn.BatchNorm1d(c_out, dtype=dtype)
         self.bn_first = bn_before_relu
 
-    def forward(self, x, train):
-        y = self.tdnn.forward(x, cache=train)
+    def activate(self, y, train):
+        """ReLU and batch norm, in the block's order, over its TDNN's output y."""
         if self.bn_first:
             y = self.bn.forward(y, train, out=y)
             return self.relu.forward(y, cache=train, out=y)
         y = self.relu.forward(y, cache=train, out=y)
         return self.bn.forward(y, train, out=y)
 
-    def backward(self, dy, input_grad=True):
+    def output(self):
+        """The pending train-mode forward's output, rebuilt from batch norm's x-hat by its ops."""
+        y = self.bn.output()
+        return self.relu.forward(y, cache=False, out=y) if self.bn_first else y
+
+    def backward(self, dy, before=None):
+        """Input gradient; before is the block whose output was this one's input (None: first)."""
         # dy is always the model's own: the pool's or the next block's input gradient
         if self.bn_first:
             dy = self.bn.backward(self.relu.backward(dy, out=dy), out=dy)
         else:
             dy = self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
-        return self.tdnn.backward(dy, input_grad)
+        if before is None:  # the first TDNN cached its input, and no one needs its dX
+            return self.tdnn.backward(dy, input_grad=False)
+        return self.tdnn.backward(dy, x=before.output())  # after this block's temporaries went
 
     def layers(self):
         return {"tdnn": self.tdnn, "bn": self.bn}
@@ -264,8 +272,10 @@ class MultiBranchModel:
                                for s in range(0, len(x), group)])
 
     def _encode_group(self, y, train):
-        for block in self.encoder_blocks:
-            y = block.forward(y, train)
+        # Only the first TDNN caches its input: each later one is freed once its TDNN has read it
+        for i, block in enumerate(self.encoder_blocks):
+            y = block.tdnn.forward(y, cache=train and i == 0)
+            y = block.activate(y, train)
         return self.pool.forward(y, cache=train)
 
     def forward(
@@ -305,7 +315,8 @@ class MultiBranchModel:
         reaches drops its caches. The speaker branch's encoder contribution
         passes through the gradient reversal layer iff it was active in that
         forward. The encoder is entered only if it ran in train mode, and its
-        first layer computes no input gradient; frozen encoder grads read zero.
+        first layer computes no input gradient; frozen encoder grads read zero. It
+        rebuilds the inputs of the pool and of later blocks with gamma and beta read now.
         """
         grads = {"fluent": dlf, "disfluent": dld, "speaker": dls}
         for part, grad in grads.items():
@@ -332,10 +343,11 @@ class MultiBranchModel:
             self.pool._cache = None
         if dz is None or "encoder" not in pending:
             return
-        dy = self.pool.backward(dz)
-        for block in reversed(self.encoder_blocks[1:]):
-            dy = block.backward(dy)
-        self.encoder_blocks[0].backward(dy, input_grad=False)
+        blocks = self.encoder_blocks
+        dy = self.pool.backward(dz, blocks[-1].output())
+        for before, block in zip(reversed(blocks[:-1]), reversed(blocks[1:])):
+            dy = block.backward(dy, before)
+        blocks[0].backward(dy)
 
     # -- snapshots (used by checkpointing and best-epoch tracking) -------------
 

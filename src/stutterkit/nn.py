@@ -3,9 +3,10 @@
 The network is a fixed chain with three heads, so each layer carries an
 explicit forward/backward pair instead of a general autodiff tape. A layer
 caches what backward needs exactly when it trains: BatchNorm1d and Dropout
-take train, the others a cache flag the model sets to train. Backward reads
-that cache, drops it, returns the input gradient and accumulates parameter
-gradients in place. Every backward formula here is validated against
+take train, the others a cache flag the model sets to train. StatPool's backward,
+and TdnnLayer's when its forward kept no cache, take the input as an argument.
+Backward reads that cache, drops it, returns the input gradient and accumulates
+parameter gradients in place. Every backward formula here is validated against
 central finite differences (see the gradient test suite, tests/gradcases.py).
 
 Shapes are batched: temporal tensors are (batch, channels, frames), flat
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateBatch,
     IndexOutOfRange,
     InputTooShort,
@@ -100,9 +102,11 @@ class TdnnLayer(Layer):
     Each contraction is one BLAS GEMM over x unfolded offset-major: row block k of U
     is x shifted by off_k - off_min, matching W viewed as (C_out, K * C_in). Forward
     is one GEMM per clip on its own (K * C_in, T_out) U (U is x when K = 1), so a
-    clip's output never depends on its batch; dW is one GEMM by U as (K * C_in, B * T_out);
-    dX scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
-    backward(dy, input_grad=False) accumulates dW and db only and returns None.
+    clip's output never depends on its batch. dW is one GEMM by a U built C-ordered as
+    (K * C_in, B, T_out), so viewing it as (K * C_in, B * T_out) copies nothing; dX
+    scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
+    backward(dy, input_grad=False) accumulates dW and db only and returns None;
+    backward(dy, x=x) takes the input of a forward run with cache=False.
     """
 
     def __init__(self, in_channels, out_channels, offsets, rng=None, dtype=np.float32):
@@ -142,10 +146,12 @@ class TdnnLayer(Layer):
             self._cache = x
         return out
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        x, self._cache = self._cache, None
+    def backward(self, dy: np.ndarray, input_grad: bool = True,
+                 x: np.ndarray | None = None) -> np.ndarray | None:
+        x, self._cache = (self._cache if x is None else x), None
         b, c_out, t_out = dy.shape
-        u = np.concatenate([x[:, :, s : s + t_out].transpose(1, 0, 2) for s in self.shifts])
+        u = np.empty((len(self.shifts) * x.shape[1], b, t_out), x.dtype)
+        np.concatenate([x[:, :, s : s + t_out].transpose(1, 0, 2) for s in self.shifts], out=u)
         shape, dtype = x.shape, x.dtype
         del x
         dw = dy.transpose(1, 0, 2).reshape(c_out, b * t_out) @ u.reshape(len(u), -1).T
@@ -275,9 +281,14 @@ class BatchNorm1d(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= _per_channel(inv_std, x)
         self._cache = (xhat, inv_std, axes)
-        y = np.multiply(_per_channel(self.gamma.value, x), xhat, out=y)
-        y += _per_channel(self.beta.value, x)
-        return y
+        return self.output(out=y)
+
+    def output(self, out=None) -> np.ndarray:
+        """The pending train-mode forward's output, gamma * x-hat + beta, by the forward's ops."""
+        xhat = self._cache[0]
+        out = np.multiply(_per_channel(self.gamma.value, xhat), xhat, out=out)
+        out += _per_channel(self.beta.value, xhat)
+        return out
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
@@ -327,14 +338,13 @@ class StatPool(Layer):
         sq = x - mu[:, :, None]
         std = np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), x.shape[2]) + self.eps)
         if cache:
-            self._cache = (x, mu, std)
+            self._cache = (mu, std)
         return np.concatenate([mu, std], axis=1)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, mu, std), self._cache = self._cache, None
+    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+        (mu, std), self._cache = self._cache, None
         c, t = x.shape[1:]
         dx = x - mu[:, :, None]  # x - mu again, rounded as forward rounded it
-        del x
         dx *= dy[:, c:, None]
         dx /= t * std[:, :, None]
         dx += dy[:, :c, None] / t
@@ -355,7 +365,7 @@ class Dropout(Layer):
         mask = None
         if train and self.p != 0.0:
             if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
+                raise ConfigError("train-mode dropout needs an rng")
             keep = (rng.random(x.shape) >= self.p).astype(x.dtype)
             mask = keep / (1.0 - self.p)
         if train:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import nn
 from .data import ClipArray, feature_sizes, features_of
-from .errors import EmptyBatch, InputTooShort, InvalidConfig, NumericError
+from .errors import DataError, EmptyBatch, InputTooShort, InvalidConfig, NumericError
 from .model import PARTITIONS, MultiBranchModel, two_branch
 
 log = logging.getLogger(__name__)
@@ -283,7 +283,9 @@ def make_batch(records, indices, speaker_map=None, dtype=np.float32):
     is None, is gathered by row instead, to the same values.
     """
     if isinstance(records, ClipArray):
-        assert records.base.dtype == dtype and speaker_map in (None, records.speaker_map)
+        if records.base.dtype != dtype or speaker_map not in (None, records.speaker_map):
+            raise DataError(f"a {np.dtype(dtype)} batch needs a ClipArray of that dtype, "
+                            "built with the speaker map given")
         idx = np.asarray(indices)
         x = records.base[records.rows[idx], :, :records.lengths[idx].min()]
         return x, records.labels[idx], None if speaker_map is None else records.speakers[idx]

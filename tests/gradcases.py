@@ -252,9 +252,10 @@ class StatPoolCase(Case):
 
     def run(self):
         zero_grad(self.tdnn, self.out)
-        z = self.pool.forward(self.tdnn.forward(self.inputs["x"]))
-        losses, grads = nn.softmax_cross_entropy(self.out.forward(z), self.targets)
-        self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets))))
+        y = self.tdnn.forward(self.inputs["x"])
+        losses, grads = nn.softmax_cross_entropy(self.out.forward(self.pool.forward(y)),
+                                                 self.targets)
+        self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets)), y))
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 

@@ -21,6 +21,7 @@ from stutterkit.data import (
     write_manifest,
 )
 from stutterkit.errors import (
+    ConfigError,
     DataError,
     EmptyPodcast,
     InvalidConfig,
@@ -342,6 +343,12 @@ class TestKfold:
         records = make_records(n_podcasts=4)
         with pytest.raises(TooFewPodcasts):
             kfold(records, k=5)
+
+    def test_unknown_granularity_is_a_config_error(self):
+        """A configuration error: the CLI exits 1 on it."""
+        with pytest.raises(InvalidConfig, match="'speaker'"):
+            kfold(make_records(n_podcasts=10), k=5, by="speaker")
+        assert issubclass(InvalidConfig, ConfigError)
 
 
 class TestSyntheticCorpus:

@@ -13,6 +13,7 @@ from oracles import (
 )
 from stutterkit import nn
 from stutterkit.errors import (
+    ConfigError,
     DegenerateBatch,
     IndexOutOfRange,
     InputTooShort,
@@ -331,7 +332,8 @@ class TestDropout:
         np.testing.assert_allclose(survivors, 1.0 / 0.75, atol=1e-12)
 
     def test_train_requires_rng(self):
-        with pytest.raises(ValueError):
+        """A configuration error: the CLI exits 1 on it."""
+        with pytest.raises(ConfigError, match="needs an rng"):
             nn.Dropout(0.5).forward(np.ones((2, 2)), train=True)
 
     def test_invalid_rate(self):

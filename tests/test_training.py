@@ -1,6 +1,9 @@
 """Schedules, loss composition, early stopping, and the training loop."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,29 @@ from stutterkit.training import (
     train,
     trainable_partitions,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# make_batch on a float32 ClipArray: asked for float64, with another speaker map, and with a
+# speaker map when the array was built without one; prints each error's class name.
+MISMATCHED_CLIP_ARRAYS = """
+import numpy as np
+from stutterkit.data import ClipArray, SyntheticConfig, generate_synthetic
+from stutterkit.errors import DataError
+from stutterkit.training import make_batch, speaker_index_map
+assert not __debug__
+records = generate_synthetic(SyntheticConfig(n_podcasts=3, clips_per_class=2, frames=12))
+smap = speaker_index_map(records)
+other = {pid: 2 - i for pid, i in smap.items()}
+for array, kwargs in ((ClipArray(records, np.float32, smap), dict(dtype=np.float64)),
+                      (ClipArray(records, np.float32, smap), dict(speaker_map=other)),
+                      (ClipArray(records, np.float32), dict(speaker_map=smap))):
+    try:
+        make_batch(array, [0, 1], **kwargs)
+    except DataError as exc:
+        print(type(exc).__name__)
+"""
 
 
 def tiny_corpus(n_podcasts=3, clips_per_class=6, seed=0, sigma=0.1):
@@ -167,9 +193,9 @@ class TestLambdaSchedule:
         dtypes = set()
         tdnn_backward = nn.TdnnLayer.backward
 
-        def spy(self, dy, input_grad=True):
+        def spy(self, dy, *args, **kwargs):
             dtypes.add(dy.dtype)
-            return tdnn_backward(self, dy, input_grad)
+            return tdnn_backward(self, dy, *args, **kwargs)
 
         monkeypatch.setattr(nn.TdnnLayer, "backward", spy)
         stages = []
@@ -380,6 +406,13 @@ class TestGather:
     def test_a_record_without_features_or_file_is_refused(self):
         with pytest.raises(DataError, match="carries no features"):
             ClipArray(tiny_corpus()[:2] + [ClipRecord("bare", "pod0", 0)])
+
+    def test_a_mismatched_clip_array_is_refused_under_python_O(self):
+        """A data error (the CLI exits 2), raised by a check that -O, unlike an assert, keeps."""
+        done = subprocess.run([sys.executable, "-O", "-c", MISMATCHED_CLIP_ARRAYS],
+                              cwd=os.path.dirname(__file__), capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.stdout.split() == ["DataError"] * 3, done.stderr
 
     def test_train_on_feature_files_matches_in_memory(self, tmp_path):
         records = tiny_corpus()
