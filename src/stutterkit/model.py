@@ -121,7 +121,7 @@ class _EncoderBlock:
             dy = self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
         if before is None:  # the first TDNN cached its input, and no one needs its dX
             return self.tdnn.backward(dy, input_grad=False)
-        return self.tdnn.backward(dy, x=before.output())  # after this block's temporaries went
+        return self.tdnn.backward(dy, x=before.output())  # rebuilt once bn and ReLU are done
 
     def layers(self):
         return {"tdnn": self.tdnn, "bn": self.bn}
@@ -315,8 +315,8 @@ class MultiBranchModel:
         reaches drops its caches. The speaker branch's encoder contribution
         passes through the gradient reversal layer iff it was active in that
         forward. The encoder is entered only if it ran in train mode, and its
-        first layer computes no input gradient; frozen encoder grads read zero. It
-        rebuilds the inputs of the pool and of later blocks with gamma and beta read now.
+        first layer computes no input gradient; frozen encoder grads read zero. The pool's
+        input, and each later block's, is rebuilt from x-hat with gamma and beta read now.
         """
         grads = {"fluent": dlf, "disfluent": dld, "speaker": dls}
         for part, grad in grads.items():

@@ -414,8 +414,9 @@ class TestTrainStepBuffers:
             assert dx is not dy and not np.shares_memory(dx, dy)
             assert np.array_equal(dy, before)
 
-    @pytest.mark.parametrize("eval_between", [False, True], ids=["", "eval-between"])
-    @pytest.mark.parametrize("bn_before_relu", [False, True])
+    @pytest.mark.parametrize("bn_before_relu, eval_between",
+                             [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["False", "True", "False-eval-between", "True-eval-between"])
     def test_grads_match_a_reference_that_copies_every_dy(self, bn_before_relu, eval_between):
         """Each layer backward of the reference gets its own copy of dy and no out=.
 
