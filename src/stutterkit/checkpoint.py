@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, InvalidConfig, ShapeMismatch
+from .errors import CorruptCheckpoint, InvalidArch, InvalidConfig, ShapeMismatch
 from .model import CLASS_NAMES, ArchConfig, MultiBranchModel
 
 MAGIC = b"SNCK"
@@ -124,6 +124,8 @@ def load_checkpoint(path) -> tuple[MultiBranchModel, dict]:
         arch = ArchConfig.from_dict(header["arch"])
         model = MultiBranchModel(arch)
         model.load_snapshot(snap)
+    except InvalidArch as exc:
+        raise CorruptCheckpoint(f"{path}: header arch is invalid ({exc})") from exc
     except (KeyError, TypeError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"{path}: state does not match header arch ({exc})") from exc
     return model, header

@@ -271,10 +271,11 @@ class MultiBranchModel:
         return np.concatenate([self._encode_group(x[s : s + group], train)
                                for s in range(0, len(x), group)])
 
-    def _encode_group(self, y, train):
-        # Only the first TDNN caches its input: each later one is freed once its TDNN has read it
+    def _encode_group(self, x, train):
+        y = x.transpose(1, 0, 2)  # channels-major up to the pool; l1 unfolds x through this view
+        # Only the first TDNN keeps its input: each later one is freed once its TDNN has read it
         for i, block in enumerate(self.encoder_blocks):
-            y = block.tdnn.forward(y, cache=train and i == 0)
+            y = block.tdnn.forward(y, train, keep_input=i == 0)
             y = block.activate(y, train)
         return self.pool.forward(y, cache=train)
 

@@ -2,15 +2,18 @@
 
 The network is a fixed chain with three heads, so each layer carries an
 explicit forward/backward pair instead of a general autodiff tape. A layer
-caches what backward needs exactly when it trains: BatchNorm1d and Dropout
-take train, the others a cache flag the model sets to train. StatPool's backward,
-and TdnnLayer's when its forward kept no cache, take the input as an argument.
+caches what backward needs exactly when it trains: TdnnLayer, BatchNorm1d and
+Dropout take train, the others a cache flag the model sets to train. StatPool's
+backward, and TdnnLayer's when its forward kept no input, take the input as an argument.
 Backward reads that cache, drops it, returns the input gradient and accumulates
 parameter gradients in place. Every backward formula here is validated against
 central finite differences (see the gradient test suite, tests/gradcases.py).
 
-Shapes are batched: temporal tensors are (batch, channels, frames), flat
-tensors are (batch, features). Kernels are deterministic pure functions of
+Temporal tensors are channels-major, (channels, batch, frames): a channel's
+values over the batch are one contiguous row, so a per-channel statistic or bias
+gradient is one pairwise sum. A train-mode TDNN contracts all clips in one GEMM;
+an eval-mode one runs a GEMM per clip, so no clip's output depends on its batch.
+Flat tensors are (batch, features). Kernels are deterministic pure functions of
 (inputs, params, rng state); parameters are owned by the training loop.
 """
 
@@ -95,18 +98,18 @@ class Layer:
 class TdnnLayer(Layer):
     """Time-delay layer: valid 1-D convolution over an explicit offset set.
 
-    out[b, c, t] = bias[c] + sum_k sum_c' W[c, c', k] * x[b, c', t + off_k - off_min]
+    out[c, b, t] = bias[c] + sum_k sum_c' W[c, c', k] * x[c', b, t + off_k - off_min]
 
-    Output length is T - span where span = max(offsets) - min(offsets).
-
-    Each contraction is one BLAS GEMM over x unfolded offset-major: row block k of U
-    is x shifted by off_k - off_min, matching W viewed as (C_out, K * C_in). Forward
-    is one GEMM per clip on its own (K * C_in, T_out) U (U is x when K = 1), so a
-    clip's output never depends on its batch. dW is one GEMM by a U built C-ordered as
-    (K * C_in, B, T_out), so viewing it as (K * C_in, B * T_out) copies nothing; dX
-    scatter-adds W_k^T dy per offset. Each unfolded copy is freed before the next.
-    backward(dy, input_grad=False) accumulates dW and db only and returns None;
-    backward(dy, x=x) takes the input of a forward run with cache=False.
+    Input (C_in, batch, T), any strides; output (C_out, batch, T - span), span =
+    max(offsets) - min(offsets). Each contraction is a GEMM by W viewed as (C_out,
+    K * C_in) over x unfolded offset-major into U, (K * C_in, batch, T_out) (x when
+    K = 1). Train mode contracts all clips at once, U viewed as (K * C_in, batch * T_out)
+    (Chellapilla et al. 2006); eval mode runs one GEMM per clip on its strided columns
+    of U, so a clip's output never depends on its batch. Backward views dy as (C_out,
+    batch * T_out) for dW and the bias sum, and scatter-adds dX as one GEMM per offset,
+    W_k^T dy; each unfolded copy is freed before the next. A train-mode forward keeps x
+    unless keep_input is False; backward(dy, x=x) then takes it.
+    backward(dy, input_grad=False) accumulates dW and db only.
     """
 
     def __init__(self, in_channels, out_channels, offsets, rng=None, dtype=np.float32):
@@ -129,47 +132,52 @@ class TdnnLayer(Layer):
         _uniform_init(rng, self.weight, fan_in)
         _uniform_init(rng, self.bias, fan_in)
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeMismatch(f"expected (batch, {self.in_channels}, frames), got {x.shape}")
+    def _unfold(self, x: np.ndarray, t_out: int) -> np.ndarray:
+        """U, (K * C_in, batch, t_out), built C-ordered; x itself when K = 1."""
+        if len(self.shifts) == 1:
+            return x
+        u = np.empty((len(self.shifts) * len(x), x.shape[1], t_out), x.dtype)
+        return np.concatenate([x[:, :, s : s + t_out] for s in self.shifts], out=u)
+
+    def forward(self, x: np.ndarray, train: bool, keep_input: bool = True) -> np.ndarray:
+        if x.ndim != 3 or len(x) != self.in_channels:
+            raise ShapeMismatch(f"expected ({self.in_channels}, batch, frames), got {x.shape}")
         t_in = x.shape[2]
         if t_in <= self.span:
             raise InputTooShort(
                 f"need more than {self.span} frames for offsets {self.offsets}, got {t_in}"
             )
-        t_out = t_in - self.span
-        u = x if len(self.shifts) == 1 else np.concatenate(
-            [x[:, :, s : s + t_out] for s in self.shifts], axis=1)
-        out = np.matmul(self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1), u)
-        out += _per_channel(self.bias.value, out)
-        if cache:
-            self._cache = x
+        u = self._unfold(x, t_in - self.span)
+        w = self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1)
+        if train:
+            out = (w @ u.reshape(len(u), -1)).reshape(self.out_channels, *u.shape[1:])
+            if keep_input:
+                self._cache = x
+        else:
+            out = np.empty((self.out_channels, *u.shape[1:]), x.dtype)
+            np.matmul(w, u.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        out += self.bias.value[:, None, None]
         return out
 
     def backward(self, dy: np.ndarray, input_grad: bool = True,
                  x: np.ndarray | None = None) -> np.ndarray | None:
         x, self._cache = (self._cache if x is None else x), None
-        b, c_out, t_out = dy.shape
-        u = np.empty((len(self.shifts) * x.shape[1], b, t_out), x.dtype)
-        np.concatenate([x[:, :, s : s + t_out].transpose(1, 0, 2) for s in self.shifts], out=u)
+        c_out, b, t_out = dy.shape
+        u = self._unfold(x, t_out)
         shape, dtype = x.shape, x.dtype
         del x
-        dw = dy.transpose(1, 0, 2).reshape(c_out, b * t_out) @ u.reshape(len(u), -1).T
+        dy = dy.reshape(c_out, -1)
+        dw = dy @ u.reshape(len(u), -1).T
         del u
         self.weight.grad += dw.reshape(c_out, len(self.shifts), -1).transpose(0, 2, 1)
-        self.bias.grad += dy.sum(axis=(0, 2))
+        self.bias.grad += dy.sum(axis=1)
         if not input_grad:
             return None
         dx = np.zeros(shape, dtype)
-        w = self.weight.value.transpose(2, 0, 1)  # (K, C_out, C_in)
-        if t_out > 1:
-            # Each w[k].T is then the Fortran-ordered copy numpy makes of a strided
-            # W[:, :, k].T on every call: the same GEMM, one copy per backward. A
-            # one-frame dy keeps the strided operand: numpy runs that product as its
-            # own loop, and GEMV on a contiguous one would round differently.
-            w = np.ascontiguousarray(w)
+        # each w[k].T is then the Fortran-ordered copy numpy makes of a strided W[:, :, k].T
+        w = np.ascontiguousarray(self.weight.value.transpose(2, 0, 1))  # (K, C_out, C_in)
         for k, s in enumerate(self.shifts):
-            dx[:, :, s : s + t_out] += np.matmul(w[k].T, dy)
+            dx[:, :, s : s + t_out] += (w[k].T @ dy).reshape(-1, b, t_out)
         return dx
 
 
@@ -227,10 +235,11 @@ class BatchNorm1d(Layer):
 
     Train mode uses batch statistics (population variance, eps=1e-5) and
     updates running statistics with momentum 0.1; eval mode uses the running
-    statistics. Input is (batch, channels) or (batch, channels, frames).
+    statistics. Input is (batch, channels) or (channels, batch, frames).
 
-    Each batch statistic is one sum, divided as np.mean divides, so the
-    results are bitwise those of x.mean / x.var and dy.mean.
+    Each batch statistic is one sum per channel, divided as np.mean divides, the
+    variance from centred squares (two passes): bitwise np.mean / np.var over the
+    channel's values, one contiguous row of temporal input, so one pairwise sum.
 
     Eval mode writes a*x + c, a = gamma / sqrt(running_var + eps), c = beta - a*running_mean,
     from the live parameters. a*x and c cancel when |running_mean| >> sqrt(running_var): at
@@ -260,59 +269,50 @@ class BatchNorm1d(Layer):
         self.gamma.value[...] = 1.0  # beta stays zero
 
     def forward(self, x: np.ndarray, train: bool, out=None) -> np.ndarray:
-        if x.ndim not in (2, 3) or x.shape[1] != self.channels:
+        if x.ndim not in (2, 3) or x.shape[0 if x.ndim == 3 else 1] != self.channels:
             raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
+        # (channels, batch, frames) reduces its last two axes: one contiguous row per channel
+        axes, ch = ((1, 2), np.s_[:, None, None]) if x.ndim == 3 else ((0,), np.s_[:])
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
-            out = np.multiply(x, _per_channel(scale, x), out=out)
-            out += _per_channel(self.beta.value - scale * self.running_mean, x)
+            out = np.multiply(x, scale[ch], out=out)
+            out += (self.beta.value - scale * self.running_mean)[ch]
             return out
-        axes = (0,) if x.ndim == 2 else (0, 2)
         count = x.size // self.channels
         if count < 2:
             raise DegenerateBatch(f"train-mode batch norm needs 2+ values per channel, got {count}")
         mean = _mean_of_sum(x.sum(axis=axes), count)
-        xhat = x - _per_channel(mean, x)
+        xhat = x - mean[ch]
         y = np.square(xhat)  # this call's own temporary: the output goes here
         var = _mean_of_sum(y.sum(axis=axes), count)
         self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= _per_channel(inv_std, x)
-        self._cache = (xhat, inv_std, axes)
+        xhat *= inv_std[ch]
+        self._cache = (xhat, inv_std, axes, ch)
         return self.output(out=y)
 
     def output(self, out=None) -> np.ndarray:
         """The pending train-mode forward's output, gamma * x-hat + beta, by the forward's ops."""
-        xhat = self._cache[0]
-        out = np.multiply(_per_channel(self.gamma.value, xhat), xhat, out=out)
-        out += _per_channel(self.beta.value, xhat)
+        xhat, _, _, ch = self._cache
+        out = np.multiply(self.gamma.value[ch], xhat, out=out)
+        out += self.beta.value[ch]
         return out
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
-        (xhat, inv_std, axes), self._cache = self._cache, None
+        (xhat, inv_std, axes, ch), self._cache = self._cache, None
         sum_dy_xhat = (dy * xhat).sum(axis=axes)
         sum_dy = dy.sum(axis=axes)
         self.gamma.grad += sum_dy_xhat
         self.beta.grad += sum_dy
         count = dy.size // self.channels
-        dx = np.subtract(dy, _per_channel(_mean_of_sum(sum_dy, count), dy), out=out)
-        xhat *= _per_channel(_mean_of_sum(sum_dy_xhat, count), dy)
+        dx = np.subtract(dy, _mean_of_sum(sum_dy, count)[ch], out=out)
+        xhat *= _mean_of_sum(sum_dy_xhat, count)[ch]
         dx -= xhat
-        dx *= _per_channel(self.gamma.value * inv_std, dy)
+        dx *= (self.gamma.value * inv_std)[ch]
         return dx
-
-
-def _per_channel(v: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Per-channel vector v as an operand that broadcasts over like's batch axis only.
-
-    For (batch, channels, frames) input that is v repeated to (channels, frames):
-    a v[:, None] operand would run one inner loop per (batch, channel) row,
-    only frames long. Every element still meets the same value, so no bit moves.
-    """
-    return v[:, None].repeat(like.shape[2], axis=1) if like.ndim == 3 else v
 
 
 def _mean_of_sum(total: np.ndarray, count: int) -> np.ndarray:
@@ -323,7 +323,7 @@ def _mean_of_sum(total: np.ndarray, count: int) -> np.ndarray:
 class StatPool(Layer):
     """Statistical pooling: concat per-channel mean and population std over frames.
 
-    (batch, channels, frames) -> (batch, 2 * channels); std uses
+    (channels, batch, frames) -> (batch, 2 * channels); std uses
     sqrt(mean((x - mu)^2) + eps) with eps = 1e-9 so silence stays finite.
     """
 
@@ -333,21 +333,21 @@ class StatPool(Layer):
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3:
-            raise ShapeMismatch(f"expected (batch, channels, frames), got {x.shape}")
+            raise ShapeMismatch(f"expected (channels, batch, frames), got {x.shape}")
         mu = _mean_of_sum(x.sum(axis=2), x.shape[2])
         sq = x - mu[:, :, None]
         std = np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), x.shape[2]) + self.eps)
         if cache:
             self._cache = (mu, std)
-        return np.concatenate([mu, std], axis=1)
+        return np.concatenate([mu, std]).T.copy()  # C-ordered, as the heads' GEMMs read it
 
     def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
         (mu, std), self._cache = self._cache, None
-        c, t = x.shape[1:]
+        c, t = len(x), x.shape[2]
         dx = x - mu[:, :, None]  # x - mu again, rounded as forward rounded it
-        dx *= dy[:, c:, None]
+        dx *= dy[:, c:].T[:, :, None]
         dx /= t * std[:, :, None]
-        dx += dy[:, :c, None] / t
+        dx += dy[:, :c].T[:, :, None] / t
         return dx
 
 

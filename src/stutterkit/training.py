@@ -320,23 +320,13 @@ class Inference:
 
     @property
     def stutter_loss(self) -> float:
-        """l_fluent + l_disfluent from float32 sums per batch, added in batch order.
-
-        One sum over all clips rounds differently, and early stopping compares
-        this value against min_delta.
-        """
+        """l_fluent + l_disfluent, each one float32 sum over its clips."""
         y = self.labels
         dis = y != 0
-        losses_f = nn.softmax_cross_entropy(self.fluent_logits, dis.astype(np.intp))[0]
-        losses_d = np.zeros_like(losses_f)
-        losses_d[dis] = nn.softmax_cross_entropy(self.disfluent_logits[dis], y[dis] - 1)[0]
-        sum_f = sum_d = 0.0
-        for b in self.batches:
-            s = slice(b.start, b.stop)
-            sum_f += float(losses_f[s].sum())
-            sum_d += float(losses_d[s][dis[s]].sum())
+        sum_f = nn.softmax_cross_entropy(self.fluent_logits, dis.astype(np.intp))[0].sum()
+        sum_d = nn.softmax_cross_entropy(self.disfluent_logits[dis], y[dis] - 1)[0].sum()
         n_dis = int(dis.sum())
-        return sum_f / len(y) + (sum_d / n_dis if n_dis else 0.0)
+        return float(sum_f) / len(y) + (float(sum_d) / n_dis if n_dis else 0.0)
 
     @property
     def stutter_two_class_accuracy(self) -> float | None:

@@ -56,12 +56,26 @@ MALFORMED_DIRECTORIES = {
 }
 
 
+# Header arch edits that ArchConfig.validate refuses; the tensors stay as saved.
+INVALID_ARCHS = {
+    "one_podcast": lambda arch: arch.update(n_podcasts=1),
+    "dropout_1.5": lambda arch: arch.update(dropout=1.5),
+    "four_encoder_layers": lambda arch: arch.update(
+        encoder_channels=arch["encoder_channels"][:4], contexts=arch["contexts"][:4]),
+}
+
+
 def rewrite_tensor_directory(path, edit):
     """Apply edit(tensors) to a saved checkpoint's tensor directory, keeping the payload."""
+    rewrite_header(path, lambda header: edit(header["tensors"]))
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved checkpoint's header, keeping the payload."""
     raw = path.read_bytes()
     magic, version, header_len = struct.unpack("<4sII", raw[:12])
     header = json.loads(raw[12 : 12 + header_len])
-    edit(header["tensors"])
+    edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(struct.pack("<4sII", magic, version, len(blob)) + blob
                      + raw[12 + header_len :])

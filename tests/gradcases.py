@@ -85,6 +85,11 @@ def finite_difference_check(
     return report
 
 
+def channels_major(x):
+    """A (batch, channels, frames) draw as the encoder's C-ordered (channels, batch, frames)."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
 def zero_grad(*layers):
     for layer in layers:
         for p in layer.params().values():
@@ -147,7 +152,7 @@ class TdnnCase(Case):
     def __init__(self, dtype, offsets=(-2, 0, 2), seed=0):
         rng = np.random.default_rng(seed)
         self.layer = nn.TdnnLayer(3, 4, offsets, rng, dtype=dtype)
-        self.inputs = {"x": rng.normal(size=(2, 3, 10)).astype(dtype)}
+        self.inputs = {"x": channels_major(rng.normal(size=(2, 3, 10)).astype(dtype))}
         self.targets = np.array([1, 3])
 
     def params(self):
@@ -155,11 +160,11 @@ class TdnnCase(Case):
 
     def run(self):
         zero_grad(self.layer)
-        y = self.layer.forward(self.inputs["x"])
-        pooled = y.mean(axis=2)
+        y = self.layer.forward(self.inputs["x"], train=True)
+        pooled = y.mean(axis=2).T
         losses, grads = nn.softmax_cross_entropy(pooled, self.targets)
         dy = np.broadcast_to(
-            (grads / (len(self.targets) * y.shape[2]))[:, :, None], y.shape
+            (grads / (len(self.targets) * y.shape[2])).T[:, :, None], y.shape
         )
         self.layer.backward(np.ascontiguousarray(dy, dtype=y.dtype))
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
@@ -208,7 +213,8 @@ class BatchNormCase(Case):
         self.bn = nn.BatchNorm1d(3, dtype=dtype)
         self.out = nn.Linear(3, 2, rng, dtype=dtype)
         shape = (2, 3, 7) if temporal else (6, 3)
-        self.inputs = {"x": rng.normal(size=shape).astype(dtype)}
+        x = rng.normal(size=shape).astype(dtype)
+        self.inputs = {"x": channels_major(x) if temporal else x}
         self.x = nn.Param(value=self.inputs["x"], grad=np.zeros_like(self.inputs["x"]))
         self.targets = np.array([0, 1]) if temporal else np.array([0, 1, 0, 1, 1, 0])
 
@@ -221,12 +227,12 @@ class BatchNormCase(Case):
     def run(self):
         zero_grad(self.bn, self.out)
         y = self.bn.forward(self.inputs["x"], train=True)
-        flat = y.mean(axis=2) if self.temporal else y
+        flat = y.mean(axis=2).T if self.temporal else y
         logits = self.out.forward(flat)
         losses, grads = nn.softmax_cross_entropy(logits, self.targets)
         dflat = self.out.backward(grads / len(self.targets))
         if self.temporal:
-            dy = np.broadcast_to(dflat[:, :, None] / y.shape[2], y.shape)
+            dy = np.broadcast_to(dflat.T[:, :, None] / y.shape[2], y.shape)
             dy = np.ascontiguousarray(dy, dtype=y.dtype)
         else:
             dy = dflat
@@ -242,7 +248,7 @@ class StatPoolCase(Case):
         self.tdnn = nn.TdnnLayer(3, 4, (0,), rng, dtype=dtype)
         self.pool = nn.StatPool()
         self.out = nn.Linear(8, 3, rng, dtype=dtype)
-        self.inputs = {"x": rng.normal(size=(2, 3, 8)).astype(dtype)}
+        self.inputs = {"x": channels_major(rng.normal(size=(2, 3, 8)).astype(dtype))}
         self.targets = np.array([2, 0])
 
     def params(self):
@@ -252,7 +258,7 @@ class StatPoolCase(Case):
 
     def run(self):
         zero_grad(self.tdnn, self.out)
-        y = self.tdnn.forward(self.inputs["x"])
+        y = self.tdnn.forward(self.inputs["x"], train=True)
         losses, grads = nn.softmax_cross_entropy(self.out.forward(self.pool.forward(y)),
                                                  self.targets)
         self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets)), y))

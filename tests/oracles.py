@@ -168,20 +168,22 @@ def tdnn_reference(x, weight, bias, offsets, dy):
 
 
 def tdnn_broadcast_reference(x, weight, bias, shifts, dy):
-    """TDNN output and input gradient with a (C_out, 1) bias and strided per-offset W^T.
+    """Train-mode TDNN output and input gradient on (C, B, T), by the broadcast formulas.
 
-    The float-for-float formulas nn.TdnnLayer must match bitwise: the forward
-    GEMM on x unfolded offset-major plus bias[:, None], and dX as
-    W[:, :, k].T @ dy scatter-added per offset, W[:, :, k] a strided view.
+    The float-for-float formulas nn.TdnnLayer must match bitwise: the forward GEMM
+    on x unfolded offset-major and viewed as (K * C_in, B * T_out), plus bias[:, None];
+    dX as W[:, :, k].T @ dy, W[:, :, k] a strided view and dy viewed as
+    (C_out, B * T_out), scatter-added per offset.
     """
-    c_out, t_out = weight.shape[0], dy.shape[2]
-    u = np.concatenate([x[:, :, s : s + t_out] for s in shifts], axis=1)
-    out = np.matmul(weight.transpose(0, 2, 1).reshape(c_out, -1), u)
+    c_out, (_, b, t_out) = weight.shape[0], dy.shape
+    u = np.concatenate([x[:, :, s : s + t_out] for s in shifts])
+    out = np.matmul(weight.transpose(0, 2, 1).reshape(c_out, -1), u.reshape(len(u), -1))
     out += bias[:, None]
     dx = np.zeros(x.shape, x.dtype)
     for k, s in enumerate(shifts):
-        dx[:, :, s : s + t_out] += np.matmul(weight[:, :, k].T, dy)
-    return out, dx
+        dx[:, :, s : s + t_out] += np.matmul(weight[:, :, k].T,
+                                             dy.reshape(c_out, -1)).reshape(-1, b, t_out)
+    return out.reshape(c_out, b, t_out), dx
 
 
 class ReferenceAdam:
@@ -225,18 +227,20 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
                         eps=1e-5, momentum=0.1):
     """Batch norm forward and backward by np.mean / np.var, each where it is used.
 
+    Input is (batch, channels) or channels-major (channels, batch, frames), whose
+    statistics reduce each channel's (batch, frames) values.
     Eval mode's output is a*x + c with a = gamma / sqrt(running_var + eps) and
     c = beta - a * running_mean; eval mode has no backward, so its gradients are None.
 
-    Every per-channel operand is shaped v[None, :, None] (v[None, :] for 2-D
+    Every per-channel operand is shaped v[:, None, None] (v[None, :] for 2-D
     input), the broadcast nn.BatchNorm1d must round exactly like.
     running_mean and running_var are updated in place in train mode. Returns
     (out, d_gamma, d_beta, d_x) for the output gradient dy.
     """
-    axes = (0,) if x.ndim == 2 else (0, 2)
+    axes = (0,) if x.ndim == 2 else (1, 2)
 
     def shaped(v):
-        return v[None, :, None] if x.ndim == 3 else v[None, :]
+        return v[:, None, None] if x.ndim == 3 else v[None, :]
 
     if train:
         mean = x.mean(axis=axes)
@@ -280,3 +284,57 @@ def per_clip_synthetic(cfg):
             clips.append((f"syn_{CLASS_NAMES[cls].lower()}_{i:04d}", f"pod{p}", cls,
                           signal.reshape(cfg.n_mfcc, cfg.frames).astype(np.float32)))
     return clips
+
+
+def per_clip_encode(model, x):
+    """Eval-mode embeddings of a (batch, n_mfcc, frames) batch, one clip at a time.
+
+    Each TDNN is its (C_out, K * C_in) weight times the clip's own offset-major
+    unfold, plus bias[:, None]; batch norm is the affine a*y + c of the running
+    statistics, a = gamma * (1 / sqrt(running_var + eps)), c = beta - a * running_mean;
+    ReLU is np.maximum; pooling is np.mean over frames of y and of its centred
+    squares. The model's eval encode must match it bitwise, whatever its grouping.
+    """
+    embeddings = []
+    for y in x.astype(model.dtype, copy=False):
+        for block in model.encoder_blocks:
+            tdnn, bn = block.tdnn, block.bn
+            t_out = y.shape[1] - tdnn.span
+            u = np.concatenate([y[:, s : s + t_out] for s in tdnn.shifts])
+            w = tdnn.weight.value.transpose(0, 2, 1).reshape(tdnn.out_channels, -1)
+            y = w @ u + tdnn.bias.value[:, None]
+            a = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + bn.eps))
+            c = bn.beta.value - a * bn.running_mean
+            if block.bn_first:
+                y = np.maximum(a[:, None] * y + c[:, None], 0)
+            else:
+                y = a[:, None] * np.maximum(y, 0) + c[:, None]
+        mu = y.mean(axis=1)
+        std = np.sqrt(np.square(y - mu[:, None]).mean(axis=1) + model.pool.eps)
+        embeddings.append(np.concatenate([mu, std]))
+    return np.stack(embeddings)
+
+
+def pairwise_depth(n):
+    """The most float32 roundings any one term meets in numpy's sum of n contiguous values.
+
+    numpy's pairwise_sum (loops_utils.h.src) adds fewer than 8 values in one loop;
+    up to 128 in 8 interleaved accumulators, joined by a tree of depth 3, then a
+    loop over the n % 8 left over; and splits a longer run in two at a multiple
+    of 8. A reduction's inner loop holds at most 8192 values (numpy's buffer
+    size), whose sums it adds in turn, and the accumulator's start is one more.
+    """
+    def pairwise(n):
+        if n < 8:
+            return max(n - 1, 0)
+        if n <= 128:
+            return n // 8 - 1 + 3 + n % 8
+        half = n // 2 - n // 2 % 8
+        return 1 + max(pairwise(half), pairwise(n - half))
+
+    return pairwise(min(n, 8192)) + -(-n // 8192)
+
+
+def gamma(k, u=2.0 ** -24):
+    """Higham's gamma_k = k u / (1 - k u): k roundings of relative size u, to first order k u."""
+    return k * u / (1 - k * u)

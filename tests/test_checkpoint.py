@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_DIRECTORIES, make_tiny_arch, predict, rewrite_tensor_directory
+from conftest import (
+    INVALID_ARCHS,
+    MALFORMED_DIRECTORIES,
+    make_tiny_arch,
+    predict,
+    rewrite_header,
+    rewrite_tensor_directory,
+)
 from stutterkit import nn
 from stutterkit.checkpoint import (
     MAGIC,
@@ -146,6 +153,14 @@ class TestCorruption:
         assert raw.count(b'"n_podcasts": 3') == 1
         path.write_bytes(raw.replace(b'"n_podcasts": 3', b'"n_podcasts": 4'))
         with pytest.raises(CorruptCheckpoint, match="does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_ARCHS))
+    def test_invalid_header_arch(self, trained, case):
+        """A data error naming the arch problem, not the configuration error it raises."""
+        _, path = trained
+        rewrite_header(path, lambda header: INVALID_ARCHS[case](header["arch"]))
+        with pytest.raises(CorruptCheckpoint, match="header arch is invalid"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))

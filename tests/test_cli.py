@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from conftest import MALFORMED_DIRECTORIES, rewrite_tensor_directory
+from conftest import INVALID_ARCHS, MALFORMED_DIRECTORIES, rewrite_header, rewrite_tensor_directory
 from stutterkit import training
 from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.cli import CONFIG_KEYS, RunConfig, _write_feature_corpus, main
@@ -452,6 +452,17 @@ class TestExitCodes:
                    "--manifest", str(corpus / "manifest.csv")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(INVALID_ARCHS))
+    def test_invalid_checkpoint_arch(self, trained, corpus, tmp_path, capsys, case):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(trained.read_bytes())
+        rewrite_header(ckpt, lambda header: INVALID_ARCHS[case](header["arch"]))
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--manifest", str(corpus / "manifest.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "header arch is invalid" in err
 
     @pytest.mark.parametrize("edit", [
         lambda raw: raw[:4] + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + raw[12:],

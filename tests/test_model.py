@@ -9,6 +9,7 @@ from stutterkit.checkpoint import load_checkpoint, save_checkpoint
 from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_podcast
 from stutterkit.errors import InputTooShort, InvalidArch, ShapeMismatch
 from conftest import make_tiny_arch, predict
+from oracles import per_clip_encode
 from stutterkit.model import (
     CLASS_INITIALS,
     CLASS_NAMES,
@@ -196,7 +197,7 @@ class TestEvalGroups:
         clip_bytes = 16 * x.shape[2] * 4
         pool_forward, groups = model.pool.forward, []
         monkeypatch.setattr(model.pool, "forward",
-                            lambda y, cache=True: groups.append(len(y)) or pool_forward(y, cache))
+                            lambda y, cache=True: groups.append(y.shape[1]) or pool_forward(y, cache))
         runs = {}
         for budget, sizes in ((1, [1] * 20), (3 * clip_bytes, [3] * 6 + [2]),
                               (10**9, [20])):
@@ -213,6 +214,24 @@ class TestEvalGroups:
         for i in range(len(records)):  # each cropped clip, encoded on its own
             assert np.array_equal(model.encode(x[i : i + 1])[0], want_z[i])
         assert np.array_equal(x, given)  # the in-place ops wrote only their own arrays
+
+
+    @pytest.mark.parametrize("bn_before_relu", [False, True])
+    @pytest.mark.parametrize("group", [10, 3], ids=["one-group", "groups-of-3"])
+    def test_eval_encode_matches_a_per_clip_oracle(self, monkeypatch, bn_before_relu, group):
+        """Default contexts on 20 frames: T_out 16, 12 and then 6 at l3-l5."""
+        arch = ArchConfig(n_podcasts=3, encoder_channels=(32,) * 5, bn_before_relu=bn_before_relu)
+        model = build_model(arch, seed=3)
+        rng = np.random.default_rng(4)
+        for name, p in model.named_params().items():
+            if name.endswith((".gamma", ".beta")):
+                p.value[...] = rng.uniform(0.5, 1.5, p.value.shape) - name.endswith(".beta")
+        for name, buf in model.named_buffers().items():
+            buf[...] = (rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var")
+                        else rng.normal(0.0, 0.3, buf.shape))
+        x = rng.normal(size=(10, arch.n_mfcc, 20)).astype(np.float32)
+        monkeypatch.setattr("stutterkit.model.EVAL_GROUP_BYTES", group * 32 * 20 * 4)
+        assert model.encode(x).tobytes() == per_clip_encode(model, x).tobytes()
 
 
 class TestTwoBranchRule:

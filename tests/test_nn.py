@@ -3,11 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from gradcases import NonDeterministicLoss, finite_difference_check
+from gradcases import NonDeterministicLoss, channels_major, finite_difference_check
 from oracles import (
     ReferenceAdam,
     batchnorm_reference,
+    gamma,
     hand_adam_steps,
+    pairwise_depth,
     tdnn_broadcast_reference,
     tdnn_reference,
 )
@@ -27,6 +29,11 @@ def bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def channels(shape):
+    """The channel count of a (batch, channels) or (channels, batch, frames) shape."""
+    return shape[0] if len(shape) == 3 else shape[1]
+
+
 def softmax(logits):
     """Row-wise softmax, stable for logits of any finite magnitude."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -37,43 +44,44 @@ def softmax(logits):
 class TestTdnn:
     def test_output_length_drops_span(self, rng):
         layer = nn.TdnnLayer(3, 5, (-2, 0, 2), rng)
-        out = layer.forward(rng.normal(size=(2, 3, 11)).astype(np.float32))
-        assert out.shape == (2, 5, 7)
+        for train in (True, False):
+            out = layer.forward(rng.normal(size=(3, 2, 11)).astype(np.float32), train)
+            assert out.shape == (5, 2, 7)
 
     def test_single_tap_is_pointwise_affine(self, rng):
         layer = nn.TdnnLayer(3, 4, (0,), rng, dtype=np.float64)
-        x = rng.normal(size=(2, 3, 6))
-        out = layer.forward(x)
+        x = rng.normal(size=(3, 2, 6))
+        out = layer.forward(x, train=True)
         w = layer.weight.value[:, :, 0]
-        expected = np.einsum("oc,bct->bot", w, x) + layer.bias.value[None, :, None]
+        expected = np.einsum("oc,cbt->obt", w, x) + layer.bias.value[:, None, None]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_dilated_taps_hand_sum(self, rng):
         layer = nn.TdnnLayer(2, 1, (-2, 0, 2), rng, dtype=np.float64)
-        x = rng.normal(size=(1, 2, 9))
-        out = layer.forward(x)
+        x = rng.normal(size=(2, 1, 9))
+        out = layer.forward(x, train=True)
         w = layer.weight.value  # (1, 2, 3) taps ordered -2, 0, 2
         for t_out in range(out.shape[2]):
             manual = layer.bias.value[0]
             for k, off in enumerate((-2, 0, 2)):
-                manual += float(w[0, :, k] @ x[0, :, t_out + off + 2])
+                manual += float(w[0, :, k] @ x[:, 0, t_out + off + 2])
             assert abs(out[0, 0, t_out] - manual) < 1e-12
 
     def test_too_few_frames(self, rng):
         layer = nn.TdnnLayer(3, 4, (-3, 0, 3), rng)
         with pytest.raises(InputTooShort):
-            layer.forward(np.zeros((1, 3, 6), dtype=np.float32))
+            layer.forward(np.zeros((3, 1, 6), dtype=np.float32), train=True)
 
     def test_channel_mismatch(self, rng):
         layer = nn.TdnnLayer(3, 4, (0,), rng)
         with pytest.raises(ShapeMismatch):
-            layer.forward(np.zeros((1, 5, 8), dtype=np.float32))
+            layer.forward(np.zeros((5, 1, 8), dtype=np.float32), train=True)
 
     def test_offsets_sorted_internally(self, rng):
         a = nn.TdnnLayer(2, 2, (2, -2, 0), np.random.default_rng(3))
         b = nn.TdnnLayer(2, 2, (-2, 0, 2), np.random.default_rng(3))
-        x = np.random.default_rng(4).normal(size=(1, 2, 8)).astype(np.float32)
-        np.testing.assert_array_equal(a.forward(x), b.forward(x))
+        x = np.random.default_rng(4).normal(size=(2, 1, 8)).astype(np.float32)
+        np.testing.assert_array_equal(a.forward(x, True), b.forward(x, True))
 
     @pytest.mark.parametrize("offsets", [(0,), (-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3),
                                          (2, -2, 0)])
@@ -83,12 +91,16 @@ class TestTdnn:
         rng = np.random.default_rng(7)
         layer = nn.TdnnLayer(6, 9, offsets, rng, dtype=dtype)
         x = rng.normal(size=(batch, 6, 17)).astype(dtype)
-        out = layer.forward(x)
-        dy = rng.normal(size=out.shape).astype(dtype)
-        dx = layer.backward(dy)
+        out = layer.forward(channels_major(x), train=True)
+        dy = rng.normal(size=(batch, *out.shape[::2])).astype(dtype)
+        dx = layer.backward(channels_major(dy))
         want = tdnn_reference(x, layer.weight.value, layer.bias.value, offsets, dy)
-        got = (out, layer.weight.grad, layer.bias.grad, dx)
-        for name, g, w in zip(("out", "weight.grad", "bias.grad", "dx"), got, want):
+        eval_out = layer.forward(channels_major(x), train=False)
+        got = (out, layer.weight.grad, layer.bias.grad, dx, eval_out)
+        out_ref, dw_ref, db_ref, dx_ref = want
+        want = (channels_major(out_ref), dw_ref, db_ref, channels_major(dx_ref),
+                channels_major(out_ref))
+        for name, g, w in zip(("out", "weight.grad", "bias.grad", "dx", "eval out"), got, want):
             assert g.dtype == dtype and g.shape == w.shape, name
             # relative to the tensor's scale, so near-zero sums do not need exact cancellation
             np.testing.assert_allclose(g, w, rtol=rtol, atol=rtol * np.abs(w).max(),
@@ -96,19 +108,42 @@ class TestTdnn:
 
     @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, -1, 0, 1, 2)])
     def test_clip_output_ignores_its_batch(self, offsets):
+        """In eval mode; train mode contracts the whole batch in one GEMM."""
         rng = np.random.default_rng(11)
         layer = nn.TdnnLayer(48, 40, offsets, rng)
-        x = rng.normal(size=(7, 48, 60)).astype(np.float32)
-        batched = layer.forward(x)
-        for i in range(len(x)):
-            assert np.array_equal(layer.forward(x[i : i + 1]), batched[i : i + 1]), i
-        assert np.array_equal(layer.forward(x[::-1])[::-1], batched)
+        x = rng.normal(size=(48, 7, 60)).astype(np.float32)
+        batched = layer.forward(x, train=False)
+        for i in range(x.shape[1]):
+            assert np.array_equal(layer.forward(x[:, i : i + 1], train=False),
+                                  batched[:, i : i + 1]), i
+        assert np.array_equal(layer.forward(x[:, ::-1], train=False)[:, ::-1], batched)
+
+
+    @pytest.mark.parametrize("offsets", [(0,), (-3, 0, 3), (-2, -1, 0, 1, 2)],
+                             ids=["K1", "K3", "K5"])
+    @pytest.mark.parametrize("t_out", [1, 6, 16])
+    def test_train_and_eval_forward_agree_within_float32_rounding(self, offsets, t_out):
+        """Train mode's one GEMM and eval mode's per-clip GEMMs sum the same n = K * C_in
+        products and the bias in different orders. Each float32 result lies within
+        gamma_(n+1) (|W| |U| + |b|) of the exact sum, whatever the order or blocking
+        (Higham 2002, section 3.1), so the two lie within twice that of each other."""
+        rng = np.random.default_rng(len(offsets) + t_out)
+        layer = nn.TdnnLayer(32, 32, offsets, rng)
+        x = rng.normal(size=(32, 32, t_out + layer.span)).astype(np.float32)
+        train, evaluated = layer.forward(x, True), layer.forward(x, False)
+        n = 32 * len(offsets)
+        u = np.concatenate([x[:, :, s : s + t_out] for s in layer.shifts]).astype(np.float64)
+        w = np.abs(layer.weight.value.transpose(0, 2, 1).reshape(32, -1).astype(np.float64))
+        scale = (w @ np.abs(u).reshape(n, -1)).reshape(train.shape)
+        scale += np.abs(layer.bias.value.astype(np.float64))[:, None, None]
+        assert np.all(np.abs(train.astype(np.float64) - evaluated) <= 2 * gamma(n + 1) * scale)
 
 
 class TestPerChannelLayout:
-    """The bias laid out (C, T), and dX's Fortran-ordered W_k^T, round exactly as
-    the bias[:, None] broadcast and the strided W[:, :, k].T do (batch norm's
-    operands: TestBatchNorm.test_matches_reference_bitwise)."""
+    """The train-mode contraction on (C, B, T): forward as one GEMM over all clips'
+    columns plus bias[:, None], dX as the strided W[:, :, k].T times dy viewed as
+    (C_out, B * T_out), per offset. Both must round exactly as those formulas do
+    (batch norm's operands: TestBatchNorm.test_matches_reference_bitwise)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("channels", [32, 128])
@@ -118,12 +153,61 @@ class TestPerChannelLayout:
     def test_tdnn_matches_broadcast_formulas(self, offsets, channels, t_out, dtype):
         rng = np.random.default_rng(channels + t_out)
         layer = nn.TdnnLayer(channels, channels, offsets, rng, dtype=dtype)
-        x = rng.normal(size=(8, channels, t_out + layer.span)).astype(dtype)
-        dy = rng.normal(size=(8, channels, t_out)).astype(dtype)
+        x = rng.normal(size=(channels, 8, t_out + layer.span)).astype(dtype)
+        dy = rng.normal(size=(channels, 8, t_out)).astype(dtype)
         want_out, want_dx = tdnn_broadcast_reference(
             x, layer.weight.value, layer.bias.value, layer.shifts, dy)
-        assert bits(layer.forward(x)) == bits(want_out)
+        assert bits(layer.forward(x, train=True)) == bits(want_out)
         assert bits(layer.backward(dy)) == bits(want_dx)
+
+
+class TestChannelSums:
+    """Each per-channel sum of channels-major (C, B, T) input is one pairwise sum over
+    its B * T contiguous values, within pairwise summation's bound of a float64
+    reference: |error| <= gamma_d * sum |terms|, d from oracles.pairwise_depth."""
+
+    SHAPES = [(16, 32, 20), (16, 32, 6), (8, 32, 296)]  # bench l1, bench l3-l5, paper
+
+    @pytest.mark.parametrize("loc", [0.0, 1000.0], ids=["centred", "mean-1000-std"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batch_norm_statistics(self, rng, shape, loc):
+        """mean within gamma_(d+1) sum|x| / N (the division rounds once more); the two-pass
+        variance within gamma_(d+4) v' + (mean - m)^2, where v' is the float64 mean square
+        about the float32 mean m: each centred square rounds three times, the sum d times,
+        the division once. A one-pass E[x^2] - E[x]^2 misses that at |mean| >> std."""
+        x = (loc + rng.normal(size=shape)).astype(np.float32)
+        bn = nn.BatchNorm1d(shape[0], momentum=1.0)  # the running stats are the batch's
+        bn.forward(x, train=True)
+        n = shape[1] * shape[2]
+        d = pairwise_depth(n)
+        x64 = x.reshape(len(x), -1).astype(np.float64)
+        m = bn.running_mean.astype(np.float64)
+        mean = x64.mean(axis=1)
+        assert np.all(np.abs(m - mean) <= gamma(d + 1) * np.abs(x64).sum(axis=1) / n)
+        about_m = np.square(x64 - m[:, None]).mean(axis=1)
+        var = np.square(x64 - mean[:, None]).mean(axis=1)
+        bound = gamma(d + 4) * about_m + np.square(mean - m)
+        assert np.all(np.abs(bn.running_var - var) <= bound * (1 + 1e-9))  # float64's own rounding
+
+    @pytest.mark.parametrize("loc", [0.0, 1000.0], ids=["centred", "mean-1000-std"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batch_norm_gradient_sums_and_tdnn_bias_grad(self, rng, shape, loc):
+        c, b, t = shape
+        bn = nn.BatchNorm1d(c)
+        bn.forward(rng.normal(size=shape).astype(np.float32), train=True)
+        xhat = bn._cache[0].reshape(c, -1).astype(np.float64)
+        dy = (loc + rng.normal(size=shape)).astype(np.float32)
+        layer = nn.TdnnLayer(c, c, (0,), rng)
+        layer.forward(rng.normal(size=shape).astype(np.float32), train=True)
+        layer.backward(dy, input_grad=False)
+        bn.backward(dy)
+        g = gamma(pairwise_depth(b * t))
+        dy64 = dy.reshape(c, -1).astype(np.float64)
+        for got, terms in ((layer.bias.grad, dy64), (bn.beta.grad, dy64),
+                           (bn.gamma.grad, dy64 * xhat)):
+            # the products dy * x-hat round once before the sum
+            k = g if terms is dy64 else gamma(pairwise_depth(b * t) + 1)
+            assert np.all(np.abs(got - terms.sum(axis=1)) <= k * np.abs(terms).sum(axis=1))
 
 
 class TestLinear:
@@ -174,16 +258,16 @@ class TestBatchNorm:
 
     def test_temporal_axes(self, rng):
         bn = nn.BatchNorm1d(3, dtype=np.float64)
-        x = rng.normal(size=(4, 3, 7))
+        x = rng.normal(size=(3, 4, 7))  # (channels, batch, frames)
         y = bn.forward(x, train=True)
-        np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-10)
+        np.testing.assert_allclose(y.mean(axis=(1, 2)), 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("shape", [(32, 16), (32, 16, 20), (3, 5, 2), (4, 24, 1),
-                                       (4, 24, 2), (4, 24, 6), (4, 24, 16), (3, 24, 300)])
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 32, 20), (5, 3, 2), (24, 4, 1),
+                                       (24, 4, 2), (24, 4, 6), (24, 4, 16), (24, 3, 300)])
     def test_matches_reference_bitwise(self, rng, shape, train, dtype):
-        c = shape[1]
+        c = channels(shape)
         state = [rng.normal(1.0, 0.5, size=c), rng.normal(size=c), rng.normal(size=c),
                  rng.uniform(0.5, 2.0, size=c)]
         gamma, beta, running_mean, running_var = (a.astype(dtype) for a in state)
@@ -222,21 +306,21 @@ class TestBatchNorm:
         return bn
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("shape", [(32, 16), (4, 16, 9)])
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 4, 9)])
     def test_forward_without_out_leaves_its_input_untouched(self, rng, shape, train):
         x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
         given = x.copy()
-        bn = self._with_state(rng, shape[1])
+        bn = self._with_state(rng, channels(shape))
         out = bn.forward(x, train)
         assert out is not x and bits(x) == bits(given)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("shape", [(32, 16), (4, 16, 9)])
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 4, 9)])
     def test_out_takes_the_same_bits(self, rng, shape, train):
         """With out=x eval writes its output into x; train mode leaves x alone. No bit moves."""
         x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
         dy = rng.normal(size=shape).astype(np.float32)
-        bn = self._with_state(rng, shape[1])
+        bn = self._with_state(rng, channels(shape))
         into = copy.deepcopy(bn)
         want = bn.forward(x, train)
         buf = x.copy()
@@ -259,13 +343,13 @@ class TestBatchNorm:
         4|a||x - mean| + |a||x| + 2|a||mean| + |beta| + |y|; the slack 1.01 covers
         the second-order terms. Trained criterion-5-scale models reach |mean| / sigma of 2.4.
         """
-        c, shape = 32, (8, 32, 50)
+        c, shape = 32, (32, 8, 50)
         bn = self._with_state(rng, c, ratio=ratio)
         sigma = np.sqrt(bn.running_var.astype(np.float64))
-        x = (bn.running_mean[None, :, None] + sigma[None, :, None] * rng.normal(size=shape)
+        x = (bn.running_mean[:, None, None] + sigma[:, None, None] * rng.normal(size=shape)
              ).astype(np.float32)
         got = bn.forward(x, train=False).astype(np.float64)
-        gamma, beta, mean, var = (v.astype(np.float64)[None, :, None] for v in
+        gamma, beta, mean, var = (v.astype(np.float64)[:, None, None] for v in
                                   (bn.gamma.value, bn.beta.value, bn.running_mean,
                                    bn.running_var))
         x = x.astype(np.float64)
@@ -281,29 +365,29 @@ class TestBatchNorm:
         with pytest.raises(DegenerateBatch):
             bn.forward(np.zeros((1, 2), dtype=np.float32), train=True)
         # one clip but several frames is fine: count = B * T
-        nn.BatchNorm1d(2).forward(np.zeros((1, 2, 4), dtype=np.float32), train=True)
+        nn.BatchNorm1d(2).forward(np.zeros((2, 1, 4), dtype=np.float32), train=True)
 
 
 class TestStatPool:
     def test_matches_numpy_formulas(self, rng):
         pool = nn.StatPool()
-        x = rng.normal(size=(3, 4, 9))
+        x = rng.normal(size=(4, 3, 9))  # (channels, batch, frames)
         out = pool.forward(x)
-        mu = x.mean(axis=2)
-        std = np.sqrt(x.var(axis=2) + 1e-9)
+        mu = x.mean(axis=2).T
+        std = np.sqrt(x.var(axis=2) + 1e-9).T
         np.testing.assert_allclose(out, np.concatenate([mu, std], axis=1), atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("frames", [1, 6, 16, 300])
     def test_bitwise_equal_to_np_mean(self, rng, dtype, frames):
-        x = rng.normal(loc=0.3, size=(5, 7, frames)).astype(dtype)
+        x = rng.normal(loc=0.3, size=(7, 5, frames)).astype(dtype)
         mu = x.mean(axis=2)
         std = np.sqrt(np.square(x - mu[:, :, None]).mean(axis=2) + 1e-9)
-        want = np.concatenate([mu, std], axis=1)
+        want = np.concatenate([mu.T, std.T], axis=1)
         assert nn.StatPool().forward(x, cache=False).tobytes() == want.tobytes()
 
     def test_constant_input_hits_eps_floor(self):
-        out = nn.StatPool().forward(np.ones((1, 2, 5)))
+        out = nn.StatPool().forward(np.ones((2, 1, 5)))
         np.testing.assert_allclose(out[0, 2:], np.sqrt(1e-9), atol=1e-15)
 
     def test_rejects_flat_input(self):
@@ -346,7 +430,7 @@ class TestDropout:
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("make, shape", [
     (lambda: nn.BatchNorm1d(4), (6, 4)),
-    (lambda: nn.BatchNorm1d(4), (6, 4, 5)),
+    (lambda: nn.BatchNorm1d(4), (4, 6, 5)),
     (lambda: nn.Dropout(0.0), (6, 4)),
     (lambda: nn.Dropout(0.5), (6, 4)),
 ], ids=["batchnorm-2d", "batchnorm-3d", "dropout-p0", "dropout-p0.5"])

@@ -3,6 +3,7 @@ import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,3 +86,39 @@ def test_verdict_reads_only_seeds_0_to_4(seedsweep):
     rows = sweep_rows("exact")
     rows.update({(o, 5): (0.0, 0.0, 1) for o in ("baseline", "mtl", "adv")})
     assert seedsweep["verdict"](rows) == seedsweep["verdict"](sweep_rows("exact"))
+
+
+def class_rows(base, deltas):
+    """Rows for seeds 0-14: baseline recalls `base`, each objective's shifted per seed."""
+    return {(o, s): (0.5, 0.8, 10, tuple(np.add(base, deltas[o](s))))
+            for o in ("baseline", "mtl", "adv") for s in range(15)}
+
+
+def test_class_effects_on_fixed_rows(seedsweep):
+    base = (0.5, 0.6, 0.7, 0.8, 0.65, 0.9)  # R, P, B, I, SA, F
+    rows = class_rows(base, {
+        "baseline": lambda s: 0.0,
+        "mtl": lambda s: (0.1, 0.0, 0.0, 0.0, 0.025, -0.05),  # the same effect on every seed
+        "adv": lambda s: (0.0, 0.0, -0.03125 * (s % 2), 0.0, 0.0, 0.0),  # one clip on odd seeds
+    })
+    lines = seedsweep["class_effects"]("exact", rows)
+    assert lines[0] == ("exact  baseline          R  50.0  P  60.0  B  70.0  I  80.0  SA  65.0"
+                        "  F  90.0")
+    assert lines[1].startswith("exact  mtl               R  60.0  P  60.0")
+    assert lines[3].startswith("exact  mtl - baseline    R +10.0 [+10.0, +10.0]  P +0.0 [+0.0, +0.0]")
+    assert "SA +2.5 [+2.5, +2.5]  F -5.0 [-5.0, -5.0]" in lines[3]
+    # 7 of 15 seeds lose one clip: mean -1.46 pts, and resampling the seeds spreads it
+    b = lines[4].split("  B ")[1].split("  I ")[0]
+    mean, interval = b.split(" ", 1)
+    lo, hi = (float(v) for v in interval.strip("[]").split(", "))
+    assert mean == "-1.5" and -3.2 <= lo < -1.46 < hi <= 0.0
+
+
+def test_class_floor_is_the_paired_shift(seedsweep):
+    base = (0.5, 0.6, 0.7, 0.8, 0.65, 0.9)
+    same = {o: (lambda s: 0.0) for o in ("baseline", "mtl", "adv")}
+    nudged = dict(same, adv=lambda s: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0625 if s == 3 else 0.0))
+    lines = seedsweep["class_floor"]({"exact": class_rows(base, same),
+                                      "ulp": class_rows(base, nudged)})
+    assert lines[0].startswith("floor  one-ulp shift of mtl - baseline recall: R +0.0 (max 0.0)")
+    assert lines[1].endswith("SA +0.0 (max 0.0)  F +0.4 (max 6.2)")

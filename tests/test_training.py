@@ -488,22 +488,17 @@ def mixed_length_corpus():
 
 
 def reference_stutter_loss(model, records, batch_size):
-    """Per-batch float32 sums added in batch order: the reduction to reproduce bit for bit."""
-    sum_f = sum_d = 0.0
-    n = n_dis = 0
+    """One float32 sum per head over every clip's loss, each from its own batch's logits."""
+    losses_f, losses_d = [], []
     for s in range(0, len(records), batch_size):
         idx = list(range(s, min(s + batch_size, len(records))))
         x, y, _ = make_batch(records, idx, dtype=model.dtype)
         _, lf, ld, _ = model.forward(x)
-        losses_f, _ = nn.softmax_cross_entropy(lf, (y != 0).astype(np.intp))
-        sum_f += float(losses_f.sum())
-        n += len(idx)
+        losses_f.append(nn.softmax_cross_entropy(lf, (y != 0).astype(np.intp))[0])
         dis = np.flatnonzero(y != 0)
-        if dis.size:
-            losses_d, _ = nn.softmax_cross_entropy(ld[dis], y[dis] - 1)
-            sum_d += float(losses_d.sum())
-            n_dis += int(dis.size)
-    return sum_f / n + (sum_d / n_dis if n_dis else 0.0)
+        losses_d.append(nn.softmax_cross_entropy(ld[dis], y[dis] - 1)[0])
+    f, d = np.concatenate(losses_f), np.concatenate(losses_d)
+    return float(f.sum()) / len(f) + (float(d.sum()) / len(d) if len(d) else 0.0)
 
 
 EMPTY_ENTRY_POINTS = {

@@ -26,6 +26,15 @@ It prints, per pass:
     adv's and adv's median valid accuracy is within 5 points of
     baseline's.
 
+After both passes and the floor line, it prints the per-class effects of
+each objective, the form of the paper's claims: per pass, each objective's
+mean valid recall over the 15 seeds for R, P, B, I, SA (the mean of those
+four) and F, from evaluate.metrics on the same valid predictions; then the
+paired mtl - baseline and adv - baseline means, each with a 95% bootstrap
+interval over the same resamples. The last line is the per-class one-ulp
+floor of both differences. The valid split holds 32 clips per class, so
+one clip is 3.1 points of a class's recall.
+
 The `exact` pass trains from build_model's initial weights. The `ulp` pass
 repeats all 45 runs with every initial weight moved one ulp towards +inf
 (np.nextafter) and no other change. Its shift from `exact` is the rounding
@@ -50,6 +59,7 @@ SEEDS = range(15)
 OBJECTIVES = ("baseline", "mtl", "adv")
 PASSES = ("exact", "ulp")
 RESAMPLES = 10000
+CLASSES = ("R", "P", "B", "I", "SA", "F")  # evaluate.TABLE_COLUMNS without TA
 VERDICT_SEEDS = range(5)  # criterion 5's seeds and thresholds (tests/test_acceptance.py)
 MIN_PROBE_GAP = 0.10
 MAX_VALID_DIFF = 0.05
@@ -83,9 +93,12 @@ def config(objective, seed):
 
 
 def run(job):
-    """One training: (probe_acc, valid_acc, best_epoch) for (pass, objective, seed)."""
+    """One training: (probe_acc, valid_acc, best_epoch, class recalls) for (pass, objective, seed).
+
+    The class recalls are valid recall in CLASSES order.
+    """
     import numpy as np
-    from stutterkit.evaluate import speaker_probe
+    from stutterkit.evaluate import confusion, metrics, speaker_probe
     from stutterkit.model import build_model
     from stutterkit.training import infer, train
 
@@ -95,10 +108,12 @@ def run(job):
     if name == "ulp":
         np.nextafter(model.arena.value, np.inf, out=model.arena.value)
     result = train(model, split.train, split.valid, config(objective, seed))
-    valid_acc = infer(model, split.valid).accuracy
+    valid = infer(model, split.valid)
+    report = metrics(confusion(valid.labels, valid.predictions))
+    recalls = (*map(float, report.recall[1:]), report.stutter_accuracy, report.fluent_accuracy)
     probe = speaker_probe(infer(model, records).embeddings,
                           [r.podcast_id for r in records], seed=0).accuracy
-    return probe, valid_acc, result.best_epoch
+    return probe, valid.accuracy, result.best_epoch, recalls
 
 
 def paired(rows):
@@ -129,7 +144,7 @@ def report(name, rows):
 
     for objective in OBJECTIVES:
         for seed in SEEDS:
-            probe, vacc, best = rows[objective, seed]
+            probe, vacc, best = rows[objective, seed][:3]
             print(f"{name:<5}  {objective:<9}  {seed:>4}  {probe:>9.3f}  {vacc:>9.3f}  "
                   f"{best!s:>10}")
     print(f"{name:<5}  medians: " + ", ".join(
@@ -142,6 +157,41 @@ def report(name, rows):
           f"{100 * np.median(d):+.2f} pts, 95% bootstrap interval of the mean "
           f"[{100 * lo:+.2f}, {100 * hi:+.2f}] pts")
     print(f"{name:<5}  {verdict(rows)[1]}", flush=True)
+
+
+def class_effects(name, rows) -> list[str]:
+    """One pass's per-class lines: mean recall per objective, then the paired effects."""
+    import numpy as np
+
+    recall = {o: np.array([rows[o, s][3] for s in SEEDS]) for o in OBJECTIVES}
+    boot = np.random.default_rng(0).integers(0, len(SEEDS), size=(RESAMPLES, len(SEEDS)))
+    lines = [f"{name:<5}  {o:<16}  " + "  ".join(
+        f"{c} {100 * v:5.1f}" for c, v in zip(CLASSES, recall[o].mean(axis=0)))
+        for o in OBJECTIVES]
+    for o in ("mtl", "adv"):
+        d = recall[o] - recall["baseline"]
+        lo, hi = np.percentile(d[boot].mean(axis=1), [2.5, 97.5], axis=0)
+        lines.append(f"{name:<5}  {o + ' - baseline':<16}  " + "  ".join(
+            f"{c} {100 * m:+.1f} [{100 * a:+.1f}, {100 * b:+.1f}]"
+            for c, m, a, b in zip(CLASSES, d.mean(axis=0), lo, hi)))
+    return lines
+
+
+def class_floor(rows) -> list[str]:
+    """Per class, the one-ulp shift of each paired effect: mean, and max |shift| over seeds."""
+    import numpy as np
+
+    def effect(name, o):
+        return np.array([np.subtract(rows[name][o, s][3], rows[name]["baseline", s][3])
+                         for s in SEEDS])
+
+    lines = []
+    for o in ("mtl", "adv"):
+        shift = effect("ulp", o) - effect("exact", o)
+        lines.append(f"floor  one-ulp shift of {o} - baseline recall: " + "  ".join(
+            f"{c} {100 * m:+.1f} (max {100 * x:.1f})"
+            for c, m, x in zip(CLASSES, shift.mean(axis=0), np.abs(shift).max(axis=0))))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -185,6 +235,11 @@ def main(argv=None) -> int:
           f"per seed |shift| median {100 * np.median(np.abs(shift)):.2f}, max "
           f"{100 * np.abs(shift).max():.2f} pts; {len(jobs)} runs on {workers} workers, "
           f"{time.monotonic() - t0:.0f}s")
+    print("pass   per-class valid recall, pts: mean over seeds 0-14; effects with 95% "
+          "bootstrap intervals of the mean")
+    for name in PASSES:
+        print("\n".join(class_effects(name, rows[name])))
+    print("\n".join(class_floor(rows)), flush=True)
     return 0
 
 
