@@ -196,8 +196,9 @@ class TestEvalGroups:
         given = x.copy()
         clip_bytes = 16 * x.shape[2] * 4
         pool_forward, groups = model.pool.forward, []
-        monkeypatch.setattr(model.pool, "forward",
-                            lambda y, cache=True: groups.append(y.shape[1]) or pool_forward(y, cache))
+        monkeypatch.setattr(model.pool, "forward",  # y is (channels, clips, frames)
+                            lambda y, cache=True: groups.append(y.shape[1])
+                            or pool_forward(y, cache))
         runs = {}
         for budget, sizes in ((1, [1] * 20), (3 * clip_bytes, [3] * 6 + [2]),
                               (10**9, [20])):
@@ -215,7 +216,6 @@ class TestEvalGroups:
             assert np.array_equal(model.encode(x[i : i + 1])[0], want_z[i])
         assert np.array_equal(x, given)  # the in-place ops wrote only their own arrays
 
-
     @pytest.mark.parametrize("bn_before_relu", [False, True])
     @pytest.mark.parametrize("group", [10, 3], ids=["one-group", "groups-of-3"])
     def test_eval_encode_matches_a_per_clip_oracle(self, monkeypatch, bn_before_relu, group):
@@ -224,8 +224,10 @@ class TestEvalGroups:
         model = build_model(arch, seed=3)
         rng = np.random.default_rng(4)
         for name, p in model.named_params().items():
-            if name.endswith((".gamma", ".beta")):
-                p.value[...] = rng.uniform(0.5, 1.5, p.value.shape) - name.endswith(".beta")
+            if name.endswith(".gamma"):
+                p.value[...] = rng.uniform(0.5, 1.5, p.value.shape)
+            elif name.endswith(".beta"):
+                p.value[...] = rng.uniform(-0.5, 0.5, p.value.shape)
         for name, buf in model.named_buffers().items():
             buf[...] = (rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var")
                         else rng.normal(0.0, 0.3, buf.shape))

@@ -201,13 +201,12 @@ class TestChannelSums:
         layer.forward(rng.normal(size=shape).astype(np.float32), train=True)
         layer.backward(dy, input_grad=False)
         bn.backward(dy)
-        g = gamma(pairwise_depth(b * t))
+        d = pairwise_depth(b * t)
         dy64 = dy.reshape(c, -1).astype(np.float64)
-        for got, terms in ((layer.bias.grad, dy64), (bn.beta.grad, dy64),
-                           (bn.gamma.grad, dy64 * xhat)):
-            # the products dy * x-hat round once before the sum
-            k = g if terms is dy64 else gamma(pairwise_depth(b * t) + 1)
-            assert np.all(np.abs(got - terms.sum(axis=1)) <= k * np.abs(terms).sum(axis=1))
+        # gamma's terms, dy * x-hat, round once before they are summed
+        for got, terms, k in ((layer.bias.grad, dy64, d), (bn.beta.grad, dy64, d),
+                              (bn.gamma.grad, dy64 * xhat, d + 1)):
+            assert np.all(np.abs(got - terms.sum(axis=1)) <= gamma(k) * np.abs(terms).sum(axis=1))
 
 
 class TestLinear:

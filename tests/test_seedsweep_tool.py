@@ -105,7 +105,8 @@ def test_class_effects_on_fixed_rows(seedsweep):
     assert lines[0] == ("exact  baseline          R  50.0  P  60.0  B  70.0  I  80.0  SA  65.0"
                         "  F  90.0")
     assert lines[1].startswith("exact  mtl               R  60.0  P  60.0")
-    assert lines[3].startswith("exact  mtl - baseline    R +10.0 [+10.0, +10.0]  P +0.0 [+0.0, +0.0]")
+    assert lines[3].startswith("exact  mtl - baseline    R +10.0 [+10.0, +10.0]  "
+                               "P +0.0 [+0.0, +0.0]")
     assert "SA +2.5 [+2.5, +2.5]  F -5.0 [-5.0, -5.0]" in lines[3]
     # 7 of 15 seeds lose one clip: mean -1.46 pts, and resampling the seeds spreads it
     b = lines[4].split("  B ")[1].split("  I ")[0]
