@@ -11,8 +11,10 @@ central finite differences (see the gradient test suite, tests/gradcases.py).
 
 Temporal tensors are channels-major, (channels, batch, frames): a channel's
 values over the batch are one contiguous row, so a per-channel statistic or bias
-gradient is one pairwise sum. A train-mode TDNN contracts all clips in one GEMM;
-an eval-mode one runs a GEMM per clip, so no clip's output depends on its batch.
+gradient is one pairwise sum. Bias-gradient and batch-norm gradient sums, whose
+terms cancel, accumulate in float64 and round once. A train-mode TDNN contracts
+all clips in one GEMM; an eval-mode one runs a GEMM per clip, so no clip's output
+depends on its batch.
 Flat tensors are (batch, features). Kernels are deterministic pure functions of
 (inputs, params, rng state); parameters are owned by the training loop.
 """
@@ -106,9 +108,9 @@ class TdnnLayer(Layer):
     K = 1). Train mode contracts all clips at once, U viewed as (K * C_in, batch * T_out)
     (Chellapilla et al. 2006); eval mode runs one GEMM per clip on its strided columns
     of U, so a clip's output never depends on its batch. Backward views dy as (C_out,
-    batch * T_out) for dW and the bias sum, and scatter-adds dX as one GEMM per offset,
-    W_k^T dy; each unfolded copy is freed before the next. A train-mode forward keeps x
-    unless keep_input is False; backward(dy, x=x) then takes it.
+    batch * T_out) for dW and the bias sum, float64-accumulated, and scatter-adds dX as
+    one GEMM per offset, W_k^T dy; each unfolded copy is freed before the next. A
+    train-mode forward keeps x unless keep_input is False; backward(dy, x=x) then takes it.
     backward(dy, input_grad=False) accumulates dW and db only.
     """
 
@@ -170,7 +172,7 @@ class TdnnLayer(Layer):
         dw = dy @ u.reshape(len(u), -1).T
         del u
         self.weight.grad += dw.reshape(c_out, len(self.shifts), -1).transpose(0, 2, 1)
-        self.bias.grad += dy.sum(axis=1)
+        self.bias.grad += dy.sum(axis=1, dtype=np.float64)
         if not input_grad:
             return None
         dx = np.zeros(shape, dtype)
@@ -210,7 +212,7 @@ class Linear(Layer):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, self._cache = self._cache, None
         self.weight.grad += dy.T @ x
-        self.bias.grad += dy.sum(axis=0)
+        self.bias.grad += dy.sum(axis=0, dtype=np.float64)
         return dy @ self.weight.value
 
 
@@ -240,6 +242,8 @@ class BatchNorm1d(Layer):
     Each batch statistic is one sum per channel, divided as np.mean divides, the
     variance from centred squares (two passes): bitwise np.mean / np.var over the
     channel's values, one contiguous row of temporal input, so one pairwise sum.
+    Backward's sums over dy and dy * x-hat accumulate in float64: their terms cancel,
+    and the input gradient's per-channel sum, exactly zero, then keeps less rounding.
 
     Eval mode writes a*x + c, a = gamma / sqrt(running_var + eps), c = beta - a*running_mean,
     from the live parameters. a*x and c cancel when |running_mean| >> sqrt(running_var): at
@@ -303,13 +307,13 @@ class BatchNorm1d(Layer):
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
         (xhat, inv_std, axes, ch), self._cache = self._cache, None
-        sum_dy_xhat = (dy * xhat).sum(axis=axes)
-        sum_dy = dy.sum(axis=axes)
+        sum_dy_xhat = (dy * xhat).sum(axis=axes, dtype=np.float64)
+        sum_dy = dy.sum(axis=axes, dtype=np.float64)
         self.gamma.grad += sum_dy_xhat
         self.beta.grad += sum_dy
         count = dy.size // self.channels
-        dx = np.subtract(dy, _mean_of_sum(sum_dy, count)[ch], out=out)
-        xhat *= _mean_of_sum(sum_dy_xhat, count)[ch]
+        dx = np.subtract(dy, (sum_dy / count).astype(dy.dtype)[ch], out=out)
+        xhat *= (sum_dy_xhat / count).astype(dy.dtype)[ch]
         dx -= xhat
         dx *= (self.gamma.value * inv_std)[ch]
         return dx

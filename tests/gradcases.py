@@ -341,6 +341,9 @@ def _model_and_batch(dtype, seed):
 # pass is. Scaling the objective to ~1e-4 drops the noise to ~1e-15 so the
 # floor absorbs these architectural zeros, while a wrong formula on any
 # element with unscaled gradient above ~1e-7 still overshoots tolerance.
+# The float32 analytic side of such a zero is batch norm backward's rounding,
+# up to about u * sum|dx| (~1e-11 at this scale for encoder.l5.tdnn.bias), so
+# the floor holds it only with the gradient sums accumulated in float64.
 MODEL_LOSS_SCALE = 1e-4
 
 

@@ -225,7 +225,8 @@ class ReferenceAdam:
 
 def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
                         eps=1e-5, momentum=0.1):
-    """Batch norm forward and backward by np.mean / np.var, each where it is used.
+    """Batch norm forward and backward by np.mean / np.var, each where it is used;
+    the backward's sums and means over dy accumulate in float64.
 
     Input is (batch, channels) or channels-major (channels, batch, frames), whose
     statistics reduce each channel's (batch, frames) values.
@@ -254,12 +255,13 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, train, dy,
         a = gamma * inv_std
         return shaped(a) * x + shaped(beta - a * mean), None, None, None
     xhat = (x - shaped(mean)) * shaped(inv_std)
-    d_gamma = (dy * xhat).sum(axis=axes)
-    d_beta = dy.sum(axis=axes)
+    # the gradient sums accumulate in float64 and round once to dy's dtype
+    d_gamma = (dy * xhat).sum(axis=axes, dtype=np.float64).astype(dy.dtype)
+    d_beta = dy.sum(axis=axes, dtype=np.float64).astype(dy.dtype)
     g = shaped(gamma * inv_std)
     out = shaped(gamma) * xhat + shaped(beta)
-    mean_dy = shaped(dy.mean(axis=axes))
-    mean_dy_xhat = shaped((dy * xhat).mean(axis=axes))
+    mean_dy = shaped(dy.mean(axis=axes, dtype=np.float64).astype(dy.dtype))
+    mean_dy_xhat = shaped((dy * xhat).mean(axis=axes, dtype=np.float64).astype(dy.dtype))
     return out, d_gamma, d_beta, g * (dy - mean_dy - xhat * mean_dy_xhat)
 
 
