@@ -92,88 +92,78 @@ class ArchConfig:
         return cls(**{f.name: frozen(d[f.name]) for f in fields(cls)})
 
 
-class _EncoderBlock:
-    def __init__(self, c_in, c_out, context, bn_before_relu, dtype):
-        self.tdnn = nn.TdnnLayer(c_in, c_out, context, dtype=dtype)
+class _ReluBatchNorm:
+    """ReLU and batch norm over a layer's output, in the configured order, in place.
+
+    Only the model's own arrays pass through: activate writes over the layer output y
+    it is given, and backward over the incoming gradient dy.
+    """
+
+    def __init__(self, channels, bn_before_relu, dtype):
         self.relu = nn.Relu()
-        self.bn = nn.BatchNorm1d(c_out, dtype=dtype)
+        self.bn = nn.BatchNorm1d(channels, dtype=dtype)
         self.bn_first = bn_before_relu
 
     def activate(self, y, train):
-        """ReLU and batch norm, in the block's order, over its TDNN's output y."""
         if self.bn_first:
             y = self.bn.forward(y, train, out=y)
-            return self.relu.forward(y, cache=train, out=y)
-        y = self.relu.forward(y, cache=train, out=y)
+            return self.relu.forward(y, train, out=y)
+        y = self.relu.forward(y, train, out=y)
         return self.bn.forward(y, train, out=y)
 
     def output(self):
         """The pending train-mode forward's output, rebuilt from batch norm's x-hat by its ops."""
         y = self.bn.output()
-        return self.relu.forward(y, cache=False, out=y) if self.bn_first else y
+        return self.relu.forward(y, False, out=y) if self.bn_first else y
 
-    def backward(self, dy, before=None):
-        """Input gradient; before is the block whose output was this one's input (None: first)."""
-        # dy is always the model's own: the pool's or the next block's input gradient
+    def backward(self, dy):
         if self.bn_first:
-            dy = self.bn.backward(self.relu.backward(dy, out=dy), out=dy)
-        else:
-            dy = self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
-        if before is None:  # the first TDNN cached its input, and no one needs its dX
-            return self.tdnn.backward(dy, input_grad=False)
-        return self.tdnn.backward(dy, x=before.output())  # rebuilt once bn and ReLU are done
+            return self.bn.backward(self.relu.backward(dy, out=dy), out=dy)
+        return self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
+
+    def release(self):
+        self.relu.release()
+        self.bn.release()
+
+
+class _EncoderBlock(_ReluBatchNorm):
+    """A time-delay layer, then ReLU and batch norm."""
+
+    def __init__(self, c_in, c_out, context, bn_before_relu, dtype):
+        super().__init__(c_out, bn_before_relu, dtype)
+        self.tdnn = nn.TdnnLayer(c_in, c_out, context, dtype=dtype)
 
     def layers(self):
         return {"tdnn": self.tdnn, "bn": self.bn}
 
 
 class _Head:
-    """Three fully connected layers; dropout after the first two."""
+    """Three fully connected layers; ReLU, batch norm and dropout after the first two."""
 
     def __init__(self, in_dim, hidden, out_dim, dropout, bn_before_relu, dtype):
-        self.fcs = []
-        self.bns = []
-        self.relus = []
-        self.drops = []
-        d = in_dim
-        for h in hidden:
-            self.fcs.append(nn.Linear(d, h, dtype=dtype))
-            self.relus.append(nn.Relu())
-            self.bns.append(nn.BatchNorm1d(h, dtype=dtype))
-            self.drops.append(nn.Dropout(dropout))
-            d = h
-        self.out = nn.Linear(d, out_dim, dtype=dtype)
-        self.bn_first = bn_before_relu
+        dims = (in_dim, *hidden)
+        self.fcs = [nn.Linear(d, h, dtype=dtype) for d, h in zip(dims, hidden)]
+        self.acts = [_ReluBatchNorm(h, bn_before_relu, dtype) for h in hidden]
+        self.bns = [act.bn for act in self.acts]
+        self.drops = [nn.Dropout(dropout) for _ in hidden]
+        self.out = nn.Linear(dims[-1], out_dim, dtype=dtype)
 
     def forward(self, z, train, rng):
         y = z
-        for fc, relu, bn, drop in zip(self.fcs, self.relus, self.bns, self.drops):
-            y = fc.forward(y, cache=train)
-            if self.bn_first:
-                y = relu.forward(bn.forward(y, train, out=y), cache=train)
-            else:
-                y = relu.forward(y, cache=train)
-                y = bn.forward(y, train, out=y)
-            y = drop.forward(y, train, rng)
-        return self.out.forward(y, cache=train)
+        for fc, act, drop in zip(self.fcs, self.acts, self.drops):
+            y = drop.forward(act.activate(fc.forward(y, train), train), train, rng)
+        return self.out.forward(y, train)
 
     def backward(self, dy):
         dy = self.out.backward(dy)
-        for fc, relu, bn, drop in zip(
-            reversed(self.fcs), reversed(self.relus), reversed(self.bns), reversed(self.drops)
-        ):
-            dy = drop.backward(dy)
-            if self.bn_first:
-                dy = bn.backward(relu.backward(dy))
-            else:
-                dy = relu.backward(bn.backward(dy))
-            dy = fc.backward(dy)
+        for fc, act, drop in zip(reversed(self.fcs), reversed(self.acts), reversed(self.drops)):
+            dy = fc.backward(act.backward(drop.backward(dy)))
         return dy
 
     def release(self):
         """Drop what a train-mode forward cached, for a backward that skips this head."""
-        for layer in self.fcs + self.relus + self.bns + self.drops + [self.out]:
-            layer._cache = None
+        for layer in self.fcs + self.acts + self.drops + [self.out]:
+            layer.release()
 
     def layers(self):
         named = {}
@@ -214,6 +204,7 @@ class MultiBranchModel:
         self.grl = nn.GradReverse()
         self._grl_active = False
         self._pending = frozenset()  # partitions whose train-mode caches await backward
+        self._batch = None  # the first TDNN's input, kept for its backward
 
         named = {
             f"{prefix}.{pname}": p
@@ -273,11 +264,13 @@ class MultiBranchModel:
 
     def _encode_group(self, x, train):
         y = x.transpose(1, 0, 2)  # channels-major up to the pool; l1 unfolds x through this view
-        # Only the first TDNN keeps its input: each later one is freed once its TDNN has read it
-        for i, block in enumerate(self.encoder_blocks):
-            y = block.tdnn.forward(y, train, keep_input=i == 0)
+        if train:
+            self._batch = y
+        # Each later block's input is freed once its TDNN has read it; backward rebuilds it
+        for block in self.encoder_blocks:
+            y = block.tdnn.forward(y, train)
             y = block.activate(y, train)
-        return self.pool.forward(y, cache=train)
+        return self.pool.forward(y, train)
 
     def forward(
         self,
@@ -327,6 +320,7 @@ class MultiBranchModel:
                     f"{part} head awaits it"
                 )
         pending, self._pending = self._pending, frozenset()
+        batch, self._batch = self._batch, None
         self.zero_grads()
         dz = None
         for part in ("speaker", "disfluent", "fluent"):  # the order dz sums in
@@ -339,16 +333,17 @@ class MultiBranchModel:
                 dzp = self.grl.backward(dzp)
             dz = dzp if dz is None else dz + dzp
         if dz is None and "encoder" in pending:  # trained, but no gradient reaches it
-            for block in self.encoder_blocks:
-                block.tdnn._cache = block.relu._cache = block.bn._cache = None
-            self.pool._cache = None
+            for layer in self.encoder_blocks + [self.pool]:
+                layer.release()
         if dz is None or "encoder" not in pending:
             return
         blocks = self.encoder_blocks
         dy = self.pool.backward(dz, blocks[-1].output())
         for before, block in zip(reversed(blocks[:-1]), reversed(blocks[1:])):
-            dy = block.backward(dy, before)
-        blocks[0].backward(dy)
+            # before's output is rebuilt once this block's bn and ReLU backward are done
+            dy = block.tdnn.backward(block.backward(dy), before.output())
+        # the first TDNN's input is the batch itself: no one needs its dX
+        blocks[0].tdnn.backward(blocks[0].backward(dy), batch, input_grad=False)
 
     # -- snapshots (used by checkpointing and best-epoch tracking) -------------
 

@@ -1,13 +1,13 @@
 """Minimal differentiable kernels: every layer the model needs, nothing more.
 
 The network is a fixed chain with three heads, so each layer carries an
-explicit forward/backward pair instead of a general autodiff tape. A layer
-caches what backward needs exactly when it trains: TdnnLayer, BatchNorm1d and
-Dropout take train, the others a cache flag the model sets to train. StatPool's
-backward, and TdnnLayer's when its forward kept no input, take the input as an argument.
-Backward reads that cache, drops it, returns the input gradient and accumulates
-parameter gradients in place. Every backward formula here is validated against
-central finite differences (see the gradient test suite, tests/gradcases.py).
+explicit forward/backward pair instead of a general autodiff tape. Every layer's
+forward(x, train, ...) caches what backward needs exactly when it trains, and no
+layer keeps an input its caller can hand back: TdnnLayer and StatPool backward
+take it as an argument, so a TdnnLayer caches nothing. Backward reads the cache,
+drops it, returns the input gradient and accumulates parameter gradients in place;
+release() drops a cache that no backward will read. Every backward formula here is
+validated against central finite differences (see tests/gradcases.py).
 
 Temporal tensors are channels-major, (channels, batch, frames): a channel's
 values over the batch are one contiguous row, so a per-channel statistic or bias
@@ -81,11 +81,17 @@ def _uniform_init(rng: np.random.Generator, p: Param, fan_in: int) -> None:
 
 
 class Layer:
-    """Base: a layer owns named Params and optional non-learnable buffers.
+    """Base: a layer owns named Params, optional non-learnable buffers and a backward cache.
 
     Layers built with rng=None hold zeroed Params until init_params(rng)
     sets their values; that lets an owner place them in an arena first.
     """
+
+    _cache = None
+
+    def release(self) -> None:
+        """Drop what a train-mode forward cached, for a backward that will not run."""
+        self._cache = None
 
     def params(self) -> dict[str, Param]:
         return {}
@@ -109,9 +115,9 @@ class TdnnLayer(Layer):
     (Chellapilla et al. 2006); eval mode runs one GEMM per clip on its strided columns
     of U, so a clip's output never depends on its batch. Backward views dy as (C_out,
     batch * T_out) for dW and the bias sum, float64-accumulated, and scatter-adds dX as
-    one GEMM per offset, W_k^T dy; each unfolded copy is freed before the next. A
-    train-mode forward keeps x unless keep_input is False; backward(dy, x=x) then takes it.
-    backward(dy, input_grad=False) accumulates dW and db only.
+    one GEMM per offset, W_k^T dy; each unfolded copy is freed before the next. The
+    layer caches nothing: backward(dy, x) is handed the input the forward read, and
+    backward(dy, x, input_grad=False) accumulates dW and db only.
     """
 
     def __init__(self, in_channels, out_channels, offsets, rng=None, dtype=np.float32):
@@ -122,7 +128,6 @@ class TdnnLayer(Layer):
         self.out_channels = out_channels
         self.weight = Param.zeros((out_channels, in_channels, len(self.offsets)), dtype)
         self.bias = Param.zeros((out_channels,), dtype)
-        self._cache = None
         if rng is not None:
             self.init_params(rng)
 
@@ -141,7 +146,7 @@ class TdnnLayer(Layer):
         u = np.empty((len(self.shifts) * len(x), x.shape[1], t_out), x.dtype)
         return np.concatenate([x[:, :, s : s + t_out] for s in self.shifts], out=u)
 
-    def forward(self, x: np.ndarray, train: bool, keep_input: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.ndim != 3 or len(x) != self.in_channels:
             raise ShapeMismatch(f"expected ({self.in_channels}, batch, frames), got {x.shape}")
         t_in = x.shape[2]
@@ -153,17 +158,13 @@ class TdnnLayer(Layer):
         w = self.weight.value.transpose(0, 2, 1).reshape(self.out_channels, -1)
         if train:
             out = (w @ u.reshape(len(u), -1)).reshape(self.out_channels, *u.shape[1:])
-            if keep_input:
-                self._cache = x
         else:
             out = np.empty((self.out_channels, *u.shape[1:]), x.dtype)
             np.matmul(w, u.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
         out += self.bias.value[:, None, None]
         return out
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True,
-                 x: np.ndarray | None = None) -> np.ndarray | None:
-        x, self._cache = (self._cache if x is None else x), None
+    def backward(self, dy: np.ndarray, x: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         c_out, b, t_out = dy.shape
         u = self._unfold(x, t_out)
         shape, dtype = x.shape, x.dtype
@@ -191,7 +192,6 @@ class Linear(Layer):
         self.out_features = out_features
         self.weight = Param.zeros((out_features, in_features), dtype)
         self.bias = Param.zeros((out_features,), dtype)
-        self._cache = None
         if rng is not None:
             self.init_params(rng)
 
@@ -202,10 +202,10 @@ class Linear(Layer):
         _uniform_init(rng, self.weight, self.in_features)
         _uniform_init(rng, self.bias, self.in_features)
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeMismatch(f"expected (batch, {self.in_features}), got {x.shape}")
-        if cache:
+        if train:
             self._cache = x
         return x @ self.weight.value.T + self.bias.value
 
@@ -217,12 +217,9 @@ class Linear(Layer):
 
 
 class Relu(Layer):
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x: np.ndarray, cache: bool = True, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, out=None) -> np.ndarray:
         """max(x, 0), into `out` if given (x itself, for an in-place ReLU)."""
-        if cache:
+        if train:
             self._cache = x > 0
         return np.maximum(x, 0, out=out)
 
@@ -261,7 +258,6 @@ class BatchNorm1d(Layer):
         self.init_params()
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -333,15 +329,14 @@ class StatPool(Layer):
 
     def __init__(self, eps=1e-9):
         self.eps = eps
-        self._cache = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeMismatch(f"expected (channels, batch, frames), got {x.shape}")
         mu = _mean_of_sum(x.sum(axis=2), x.shape[2])
         sq = x - mu[:, :, None]
         std = np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), x.shape[2]) + self.eps)
-        if cache:
+        if train:
             self._cache = (mu, std)
         return np.concatenate([mu, std]).T.copy()  # C-ordered, as the heads' GEMMs read it
 
@@ -362,7 +357,6 @@ class Dropout(Layer):
         if not (0.0 <= p < 1.0):
             raise InvalidRate(f"dropout rate must be in [0, 1), got {p}")
         self.p = p
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool,
                 rng: np.random.Generator | None = None) -> np.ndarray:

@@ -312,7 +312,6 @@ class Inference:
     embeddings: np.ndarray  # pooled, in the model's dtype
     fluent_logits: np.ndarray
     disfluent_logits: np.ndarray
-    batches: list  # the index ranges make_batch stacked (and cropped) together
 
     @property
     def accuracy(self) -> float:
@@ -346,15 +345,14 @@ def infer(model: MultiBranchModel, records, batch_size=64) -> Inference:
     if short:
         raise InputTooShort(f"{len(short)} clip(s) shorter than the {need} frames the "
                             f"encoder needs: {', '.join(short)}")
-    batches = _batch_ranges(len(records), batch_size)
     outputs = []
-    for b in batches:
+    for b in _batch_ranges(len(records), batch_size):
         x, y, _ = make_batch(records, b, dtype=model.dtype)
         z, lf, ld, _ = model.forward(x)
         outputs.append((y, z, lf, ld))
     y, z, lf, ld = (np.concatenate(parts) for parts in zip(*outputs))
     return Inference(labels=y, predictions=two_branch(lf, ld), embeddings=z,
-                     fluent_logits=lf, disfluent_logits=ld, batches=batches)
+                     fluent_logits=lf, disfluent_logits=ld)
 
 
 def dataset_stutter_loss(model: MultiBranchModel, records, batch_size=64) -> float:

@@ -166,7 +166,7 @@ class TdnnCase(Case):
         dy = np.broadcast_to(
             (grads / (len(self.targets) * y.shape[2])).T[:, :, None], y.shape
         )
-        self.layer.backward(np.ascontiguousarray(dy, dtype=y.dtype))
+        self.layer.backward(np.ascontiguousarray(dy, dtype=y.dtype), self.inputs["x"])
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 
@@ -192,7 +192,8 @@ class LinearReluChainCase(Case):
 
     def run(self):
         zero_grad(self.l1, self.l2)
-        logits = self.l2.forward(self.relu.forward(self.l1.forward(self.inputs["x"])))
+        logits = self.l2.forward(
+            self.relu.forward(self.l1.forward(self.inputs["x"], True), True), True)
         losses, grads = nn.softmax_cross_entropy(logits, self.targets)
         dh = self.l2.backward(grads / len(self.targets))
         self.l1.backward(self.relu.backward(dh, out=dh if self.in_place else None))
@@ -228,7 +229,7 @@ class BatchNormCase(Case):
         zero_grad(self.bn, self.out)
         y = self.bn.forward(self.inputs["x"], train=True)
         flat = y.mean(axis=2).T if self.temporal else y
-        logits = self.out.forward(flat)
+        logits = self.out.forward(flat, True)
         losses, grads = nn.softmax_cross_entropy(logits, self.targets)
         dflat = self.out.backward(grads / len(self.targets))
         if self.temporal:
@@ -259,9 +260,10 @@ class StatPoolCase(Case):
     def run(self):
         zero_grad(self.tdnn, self.out)
         y = self.tdnn.forward(self.inputs["x"], train=True)
-        losses, grads = nn.softmax_cross_entropy(self.out.forward(self.pool.forward(y)),
-                                                 self.targets)
-        self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets)), y))
+        losses, grads = nn.softmax_cross_entropy(
+            self.out.forward(self.pool.forward(y, True), True), self.targets)
+        self.tdnn.backward(self.pool.backward(self.out.backward(grads / len(self.targets)), y),
+                           self.inputs["x"])
         return float(losses.mean()), {n: p.grad for n, p in self.params().items()}
 
 
@@ -309,8 +311,8 @@ class GrlCase(Case):
 
     def run(self):
         zero_grad(self.up, self.head)
-        z = self.grl.forward(self.up.forward(self.inputs["x"]), lam=self.lam)
-        losses, grads = nn.softmax_cross_entropy(self.head.forward(z), self.targets)
+        z = self.grl.forward(self.up.forward(self.inputs["x"], True), lam=self.lam)
+        losses, grads = nn.softmax_cross_entropy(self.head.forward(z, True), self.targets)
         self.up.backward(self.grl.backward(self.head.backward(grads / len(self.targets))))
         loss = float(losses.mean())
         if self.side == "up":

@@ -195,8 +195,7 @@ class TestEmbeddingExport:
         emb[1, :3] = [np.inf, -np.inf, np.nan]
         labels = np.array([int(r.label) for r in records])
         out = Inference(labels=labels, predictions=labels, embeddings=emb,
-                        fluent_logits=np.zeros((14, 2)), disfluent_logits=np.zeros((14, 4)),
-                        batches=[range(14)])
+                        fluent_logits=np.zeros((14, 2)), disfluent_logits=np.zeros((14, 4)))
         path = tmp_path / "emb.csv"
         export_embeddings(None, records, path, outputs=out)
         want = io.StringIO(newline="")

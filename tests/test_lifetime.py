@@ -42,14 +42,15 @@ def layers_of(model):
     for block in model.encoder_blocks:
         out += [block.tdnn, block.relu, block.bn]
     for head in model.heads.values():
-        out += head.fcs + head.relus + head.bns + head.drops + [head.out]
+        out += head.fcs + [a.relu for a in head.acts] + head.bns + head.drops + [head.out]
     return out
 
 
 def cached_layers(model):
-    """Layers still holding backward state (a cache or a dropout mask)."""
-    return [layer for layer in layers_of(model)
-            if getattr(layer, "_cache", None) is not None]
+    """Layers still holding backward state (a cache or a dropout mask), and the model
+    itself while it keeps the encoder's input for the first TDNN's backward."""
+    held = [layer for layer in layers_of(model) if layer._cache is not None]
+    return held + [model] * (model._batch is not None)
 
 
 def attribute_identities(model):
@@ -256,8 +257,8 @@ class TestFrozenEncoder:
         l1 = model.encoder_blocks[0].tdnn
         l1_backward = l1.backward
         monkeypatch.setattr(l1, "backward",
-                            lambda dy, input_grad=True: returned.append(
-                                l1_backward(dy, input_grad)))
+                            lambda dy, x, input_grad=True: returned.append(
+                                l1_backward(dy, x, input_grad)))
         x, y, ys = batch_of(corpus())
         train_step(model, x, y, ys)
         assert returned == [None]
@@ -269,8 +270,7 @@ class TestFrozenEncoder:
         x = rng.normal(size=(5, 6, 17)).astype(np.float32)
         out = layer.forward(channels_major(x), train=True)
         dy = rng.normal(size=(5, *out.shape[::2])).astype(np.float32)
-        assert layer.backward(channels_major(dy), input_grad=False) is None
-        assert layer._cache is None
+        assert layer.backward(channels_major(dy), channels_major(x), input_grad=False) is None
         _, d_w, d_b, _ = tdnn_reference(x, layer.weight.value, layer.bias.value, offsets, dy)
         for name, want in (("weight", d_w), ("bias", d_b)):
             got = getattr(layer, name).grad
@@ -364,12 +364,11 @@ class TestTrainStepBuffers:
         layer = nn.TdnnLayer(64, 64, offsets, rng)
         x = rng.normal(size=(64, 16, 120)).astype(np.float32)
         dy = rng.normal(size=layer.forward(x, train=True).shape).astype(np.float32)
-        layer.backward(dy)  # warm-up
-        layer.forward(x, train=True)
+        layer.backward(dy, x)  # warm-up
         gc.collect()
         tracemalloc.start()
         try:
-            layer.backward(dy)
+            layer.backward(dy, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +377,8 @@ class TestTrainStepBuffers:
 
     @pytest.mark.parametrize("bn_before_relu", [False, True])
     def test_only_the_first_tdnn_keeps_its_input(self, bn_before_relu):
-        """The later TDNN layers and the pool keep no input: each block rebuilds its output."""
+        """The model keeps the batch for the first TDNN; no TDNN layer and not the pool keeps
+        an input: each block rebuilds its output."""
         x, _, _ = batch_of(corpus(frames=40), n=16)
         arch = dataclasses.replace(make_tiny_arch(channels=32), bn_before_relu=bn_before_relu)
         model = with_affine_drawn(build_model(arch, seed=0))
@@ -390,10 +390,9 @@ class TestTrainStepBuffers:
                 return out
             block.activate = recording
         model.forward(x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
-        first, *rest = model.encoder_blocks
-        assert first.tdnn._cache.base is x  # the batch, viewed channels-major
-        assert first.tdnn._cache.shape == x.transpose(1, 0, 2).shape
-        assert [block.tdnn._cache for block in rest] == [None] * 4
+        assert model._batch.base is x  # the batch, viewed channels-major
+        assert model._batch.shape == x.transpose(1, 0, 2).shape
+        assert [block.tdnn._cache for block in model.encoder_blocks] == [None] * 5
         stats = (arch.encoder_channels[-1], len(x))
         assert [a.shape for a in model.pool._cache] == [stats] * 2  # mean and std
         for block, want in zip(model.encoder_blocks, outputs):
@@ -412,7 +411,7 @@ class TestTrainStepBuffers:
         before = dy.copy()
         bn, relu = nn.BatchNorm1d(3), nn.Relu()
         bn.forward(x, train=True)
-        relu.forward(x)
+        relu.forward(x, train=True)
         for backward in (bn.backward, relu.backward):
             dx = backward(dy)
             assert dx is not dy and not np.shares_memory(dx, dy)
@@ -425,8 +424,9 @@ class TestTrainStepBuffers:
         """Each layer backward of the reference gets its own copy of dy and no out=.
 
         Each TDNN and the pool of the reference also keep a copy of the input their
-        forward read and backpropagate through it, where the model rebuilds that input
-        from the block before; the model may run eval passes between forward and backward.
+        forward read and backpropagate through it, where the model hands back the batch
+        or rebuilds that input from the block before; the model may run eval passes
+        between forward and backward.
         """
         records = corpus()
         x, y, ys = batch_of(records)
@@ -441,10 +441,8 @@ class TestTrainStepBuffers:
                 layer.forward = keeping
 
             def copying(dy, *args, _backward=layer.backward, _layer=layer, out=None, **kwargs):
-                if _layer is reference.pool:
-                    args = (inputs.pop(_layer),)
-                elif "x" in kwargs:
-                    kwargs["x"] = inputs.pop(_layer)
+                if _layer in inputs:  # a TDNN or the pool: args[0] is the input it is handed
+                    args = (inputs.pop(_layer), *args[1:])
                 return _backward(dy.copy(), *args, **kwargs)
             layer.backward = copying
         for m in (model, reference):
@@ -455,6 +453,6 @@ class TestTrainStepBuffers:
                 infer(m, records, batch_size=5)
                 m.forward(x, grl_lambda=0.9)
             m.backward(dlf=losses.dlf, dld=losses.dld, dls=losses.dls)
-        assert list(inputs) == [reference.encoder_blocks[0].tdnn]  # the others were all used
+        assert not inputs  # every TDNN and the pool got its kept input back
         assert model.arena.grad.any()
         assert np.array_equal(model.arena.grad, reference.arena.grad)

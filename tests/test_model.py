@@ -197,8 +197,8 @@ class TestEvalGroups:
         clip_bytes = 16 * x.shape[2] * 4
         pool_forward, groups = model.pool.forward, []
         monkeypatch.setattr(model.pool, "forward",  # y is (channels, clips, frames)
-                            lambda y, cache=True: groups.append(y.shape[1])
-                            or pool_forward(y, cache))
+                            lambda y, train: groups.append(y.shape[1])
+                            or pool_forward(y, train))
         runs = {}
         for budget, sizes in ((1, [1] * 20), (3 * clip_bytes, [3] * 6 + [2]),
                               (10**9, [20])):

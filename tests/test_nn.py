@@ -93,7 +93,7 @@ class TestTdnn:
         x = rng.normal(size=(batch, 6, 17)).astype(dtype)
         out = layer.forward(channels_major(x), train=True)
         dy = rng.normal(size=(batch, *out.shape[::2])).astype(dtype)
-        dx = layer.backward(channels_major(dy))
+        dx = layer.backward(channels_major(dy), channels_major(x))
         want = tdnn_reference(x, layer.weight.value, layer.bias.value, offsets, dy)
         eval_out = layer.forward(channels_major(x), train=False)
         got = (out, layer.weight.grad, layer.bias.grad, dx, eval_out)
@@ -158,7 +158,7 @@ class TestPerChannelLayout:
         want_out, want_dx = tdnn_broadcast_reference(
             x, layer.weight.value, layer.bias.value, layer.shifts, dy)
         assert bits(layer.forward(x, train=True)) == bits(want_out)
-        assert bits(layer.backward(dy)) == bits(want_dx)
+        assert bits(layer.backward(dy, x)) == bits(want_dx)
 
 
 class TestChannelSums:
@@ -202,8 +202,7 @@ class TestChannelSums:
         xhat = bn._cache[0].reshape(c, -1).astype(np.float64)
         dy = (loc + rng.normal(size=shape)).astype(np.float32)
         layer = nn.TdnnLayer(c, c, (0,), rng)
-        layer.forward(rng.normal(size=shape).astype(np.float32), train=True)
-        layer.backward(dy, input_grad=False)
+        layer.backward(dy, rng.normal(size=shape).astype(np.float32), input_grad=False)
         bn.backward(dy)
         d64 = gamma(pairwise_depth(b * t), u=2.0 ** -53)
         dy64 = dy.reshape(c, -1).astype(np.float64)
@@ -220,12 +219,12 @@ class TestLinear:
         layer = nn.Linear(3, 2, rng, dtype=np.float64)
         x = rng.normal(size=(4, 3))
         np.testing.assert_allclose(
-            layer.forward(x), x @ layer.weight.value.T + layer.bias.value, atol=1e-12
+            layer.forward(x, True), x @ layer.weight.value.T + layer.bias.value, atol=1e-12
         )
 
     def test_shape_check(self, rng):
         with pytest.raises(ShapeMismatch):
-            nn.Linear(3, 2, rng).forward(np.zeros((4, 5), dtype=np.float32))
+            nn.Linear(3, 2, rng).forward(np.zeros((4, 5), dtype=np.float32), True)
 
 
 class TestBatchNorm:
@@ -377,7 +376,7 @@ class TestStatPool:
     def test_matches_numpy_formulas(self, rng):
         pool = nn.StatPool()
         x = rng.normal(size=(4, 3, 9))  # (channels, batch, frames)
-        out = pool.forward(x)
+        out = pool.forward(x, True)
         mu = x.mean(axis=2).T
         std = np.sqrt(x.var(axis=2) + 1e-9).T
         np.testing.assert_allclose(out, np.concatenate([mu, std], axis=1), atol=1e-12)
@@ -389,15 +388,15 @@ class TestStatPool:
         mu = x.mean(axis=2)
         std = np.sqrt(np.square(x - mu[:, :, None]).mean(axis=2) + 1e-9)
         want = np.concatenate([mu.T, std.T], axis=1)
-        assert nn.StatPool().forward(x, cache=False).tobytes() == want.tobytes()
+        assert nn.StatPool().forward(x, False).tobytes() == want.tobytes()
 
     def test_constant_input_hits_eps_floor(self):
-        out = nn.StatPool().forward(np.ones((2, 1, 5)))
+        out = nn.StatPool().forward(np.ones((2, 1, 5)), True)
         np.testing.assert_allclose(out[0, 2:], np.sqrt(1e-9), atol=1e-15)
 
     def test_rejects_flat_input(self):
         with pytest.raises(ShapeMismatch):
-            nn.StatPool().forward(np.zeros((2, 3)))
+            nn.StatPool().forward(np.zeros((2, 3)), True)
 
 
 class TestDropout:
@@ -438,18 +437,27 @@ class TestDropout:
     (lambda: nn.BatchNorm1d(4), (4, 6, 5)),
     (lambda: nn.Dropout(0.0), (6, 4)),
     (lambda: nn.Dropout(0.5), (6, 4)),
-], ids=["batchnorm-2d", "batchnorm-3d", "dropout-p0", "dropout-p0.5"])
+    (lambda: nn.Linear(4, 3), (6, 4)),
+    (lambda: nn.Relu(), (6, 4)),
+    (lambda: nn.StatPool(), (4, 6, 5)),
+    (lambda: nn.TdnnLayer(4, 3, (-1, 0, 1)), (4, 6, 5)),
+], ids=["batchnorm-2d", "batchnorm-3d", "dropout-p0", "dropout-p0.5", "linear", "relu",
+        "statpool", "tdnn"])
 def test_caches_iff_train(rng, make, shape, train):
-    """A layer keeps a cache for backward exactly when it runs in train mode."""
+    """A layer keeps a cache for backward exactly when it runs in train mode, but a
+    TdnnLayer, whose backward is handed its input, never does; backward and release()
+    each drop a pending cache."""
     layer = make()
     x = rng.normal(size=shape).astype(np.float32)
-    if isinstance(layer, nn.Dropout):
-        layer.forward(x, train, rng)
-    else:
-        layer.forward(x, train)
-    assert (layer._cache is not None) == train
+    args = (rng,) if isinstance(layer, nn.Dropout) else ()
+    y = layer.forward(x, train, *args)
+    assert (layer._cache is not None) == (train and not isinstance(layer, nn.TdnnLayer))
+    layer.release()
+    assert layer._cache is None
     if train:
-        assert layer.backward(np.ones_like(x)).shape == x.shape
+        layer.forward(x, train, *args)
+        given = (x,) if isinstance(layer, (nn.StatPool, nn.TdnnLayer)) else ()
+        assert layer.backward(np.ones_like(y), *given).shape == x.shape
         assert layer._cache is None
 
 
