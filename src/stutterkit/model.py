@@ -127,7 +127,7 @@ class _ReluBatchNorm:
 
 
 class _EncoderBlock(_ReluBatchNorm):
-    """A time-delay layer, then ReLU and batch norm."""
+    """A time-delay layer followed by the ReLU/batch-norm unit."""
 
     def __init__(self, c_in, c_out, context, bn_before_relu, dtype):
         super().__init__(c_out, bn_before_relu, dtype)
