@@ -52,11 +52,7 @@ SEP28K_NONSTUTTER_COLUMNS = (
 
 @dataclass
 class ClipRecord:
-    """One labeled 3-second segment.
-
-    ``fluent_label`` is the derived binary pseudo label: 0 for fluent clips,
-    1 for every disfluent class.
-    """
+    """One labeled 3-second segment."""
 
     clip_id: str
     podcast_id: str
@@ -66,10 +62,6 @@ class ClipRecord:
     stop_ms: float | None = None
     feature_path: str | None = None
     features: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def fluent_label(self) -> int:
-        return 0 if self.label == StutterClass.FLUENT else 1
 
 
 @dataclass
@@ -294,24 +286,26 @@ def _podcast_groups(records):
     return groups
 
 
+def _deal(groups, ratios, seed) -> list[list[ClipRecord]]:
+    """Shuffle the sorted group keys with default_rng(seed), then deal runs of
+    largest-remainder sizes; each part lists its groups' records, group by group."""
+    keys = sorted(groups)
+    np.random.default_rng(seed).shuffle(keys)
+    parts, start = [], 0
+    for size in _largest_remainder(len(keys), ratios):
+        parts.append([r for key in keys[start : start + size] for r in groups[key]])
+        start += size
+    return parts
+
+
 def split_by_podcast(records, ratios=(0.8, 0.1, 0.1), seed=0) -> DatasetSplit:
     """Partition whole podcasts into train/valid/test (largest-remainder sizes)."""
     if len(ratios) != 3 or not all(0 <= r < np.inf for r in ratios) or abs(sum(ratios) - 1) > 1e-6:
         raise InvalidConfig(f"ratios must be three finite values >= 0 summing to 1, got {ratios}")
     groups = _podcast_groups(records)
-    podcasts = sorted(groups)
-    if len(podcasts) < 3:
-        raise TooFewPodcasts(f"need >= 3 podcasts, got {len(podcasts)}")
-    rng = np.random.default_rng(seed)
-    rng.shuffle(podcasts)
-    n_train, n_valid, n_test = _largest_remainder(len(podcasts), ratios)
-    buckets = (
-        podcasts[:n_train],
-        podcasts[n_train : n_train + n_valid],
-        podcasts[n_train + n_valid :],
-    )
-    parts = [[r for p in bucket for r in groups[p]] for bucket in buckets]
-    return DatasetSplit(*parts, mode="podcast-disjoint")
+    if len(groups) < 3:
+        raise TooFewPodcasts(f"need >= 3 podcasts, got {len(groups)}")
+    return DatasetSplit(*_deal(groups, ratios, seed), mode="podcast-disjoint")
 
 
 def split_within_podcast(records, valid_fraction=0.1, seed=0, test=()) -> DatasetSplit:
@@ -358,28 +352,15 @@ def kfold(records, k=10, seed=0, by="podcast") -> list[DatasetSplit]:
 
     Clip-level folding is available behind ``by="clip"``.
     """
-    rng = np.random.default_rng(seed)
     if by == "podcast":
         groups = _podcast_groups(records)
-        units = sorted(groups)
-        if len(units) < k:
-            raise TooFewPodcasts(f"need >= {k} podcasts for {k}-fold, got {len(units)}")
-        rng.shuffle(units)
-        sizes = _largest_remainder(len(units), [1.0 / k] * k)
-        folds, start = [], 0
-        for s in sizes:
-            folds.append([r for u in units[start : start + s] for r in groups[u]])
-            start += s
-    elif by == "clip":
-        units = sorted(records, key=lambda r: r.clip_id)
-        rng.shuffle(units)
-        sizes = _largest_remainder(len(units), [1.0 / k] * k)
-        folds, start = [], 0
-        for s in sizes:
-            folds.append(units[start : start + s])
-            start += s
+        if len(groups) < k:
+            raise TooFewPodcasts(f"need >= {k} podcasts for {k}-fold, got {len(groups)}")
+    elif by == "clip":  # one-record groups, keyed by position in clip-id order
+        groups = {i: [r] for i, r in enumerate(sorted(records, key=lambda r: r.clip_id))}
     else:
         raise InvalidConfig(f"unknown fold granularity {by!r}; expected 'podcast' or 'clip'")
+    folds = _deal(groups, [1.0 / k] * k, seed)
     splits = []
     for i in range(k):
         train = [r for j, fold in enumerate(folds) if j != i for r in fold]

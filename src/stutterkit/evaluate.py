@@ -79,11 +79,6 @@ class MetricsReport:
     # not part of the report's value.
     outputs: Inference | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def class_accuracy(self) -> np.ndarray:
-        """Per-class accuracy is per-class recall."""
-        return self.recall
-
     def table(self) -> str:
         """Aligned text table in the column order R, P, B, I, SA, F, TA."""
         r = self.recall

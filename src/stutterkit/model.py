@@ -73,12 +73,8 @@ class ArchConfig:
         return 2 * self.encoder_channels[-1]
 
     @property
-    def context_span(self) -> int:
-        return sum(max(c) - min(c) for c in self.contexts)
-
-    @property
     def min_frames(self) -> int:
-        return self.context_span + 1
+        return sum(max(c) - min(c) for c in self.contexts) + 1
 
     def to_dict(self) -> dict:
         """Every field by name; json writes its tuples as lists."""
@@ -202,7 +198,6 @@ class MultiBranchModel:
             for name, n_out in (("fluent", 2), ("disfluent", 4), ("speaker", arch.n_podcasts))
         }
         self.grl = nn.GradReverse()
-        self._grl_active = False
         self._pending = frozenset()  # partitions whose train-mode caches await backward
         self._batch = None  # the first TDNN's input, kept for its backward
 
@@ -248,18 +243,22 @@ class MultiBranchModel:
 
     # -- forward / backward ---------------------------------------------------
 
-    def encode(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Embed a batch (batch, n_mfcc, frames) -> (batch, 2 * last_channels)."""
+    def _checked(self, x):
+        """x in the model's dtype, once its shape is checked as (batch, n_mfcc, frames)."""
         if x.ndim != 3 or x.shape[1] != self.arch.n_mfcc:
             raise ShapeMismatch(
                 f"expected (batch, {self.arch.n_mfcc}, frames), got {x.shape}"
             )
-        x = x.astype(self.dtype, copy=False)
+        return x.astype(self.dtype, copy=False)
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Embed a batch (batch, n_mfcc, frames) -> (batch, 2 * last_channels); eval mode only."""
+        x = self._checked(x)
         clip_bytes = max(self.arch.encoder_channels) * x.shape[2] * x.itemsize
-        group = len(x) if train else max(1, EVAL_GROUP_BYTES // (clip_bytes or 1))
+        group = max(1, EVAL_GROUP_BYTES // (clip_bytes or 1))
         if group >= len(x):
-            return self._encode_group(x, train)
-        return np.concatenate([self._encode_group(x[s : s + group], train)
+            return self._encode_group(x, False)
+        return np.concatenate([self._encode_group(x[s : s + group], False)
                                for s in range(0, len(x), group)])
 
     def _encode_group(self, x, train):
@@ -285,18 +284,19 @@ class MultiBranchModel:
         stat updates, dropout, caches for backward); everything else runs
         eval semantics and keeps nothing, so a forward with an empty train
         set writes no state and one model can serve concurrent eval callers.
-        The gradient reversal layer is wired in front of a train-mode
-        speaker head when grl_lambda is given; its forward is the identity.
+        A train-mode forward opens a step and backward closes it; one that finds a
+        step open closes it first, so the grads read zero. A train-mode speaker head
+        records grl_lambda (None: no reversal) in the gradient reversal layer in front of it.
         """
-        z = self.encode(x, train="encoder" in train)
+        if train and self._pending:
+            self.backward()  # no gradient: releases every open partition
+        z = self._encode_group(self._checked(x), True) if "encoder" in train else self.encode(x)
         lf = self.heads["fluent"].forward(z, "fluent" in train, rng)
         ld = self.heads["disfluent"].forward(z, "disfluent" in train, rng)
-        grl = grl_lambda is not None and "speaker" in train
-        zs = self.grl.forward(z, grl_lambda) if grl else z
+        zs = self.grl.forward(z, grl_lambda) if "speaker" in train else z
         ls = self.heads["speaker"].forward(zs, "speaker" in train, rng)
         if train:
             self._pending = frozenset(train)
-            self._grl_active = grl
         return z, lf, ld, ls
 
     def backward(self, dlf=None, dld=None, dls=None):
@@ -307,8 +307,8 @@ class MultiBranchModel:
         that did not run in train mode since the last backward raises
         NoPendingForward, and a train-mode head or encoder that no gradient
         reaches drops its caches. The speaker branch's encoder contribution
-        passes through the gradient reversal layer iff it was active in that
-        forward. The encoder is entered only if it ran in train mode, and its
+        passes through the gradient reversal layer at that forward's lambda.
+        The encoder is entered only if it ran in train mode, and its
         first layer computes no input gradient; frozen encoder grads read zero. The pool's
         input, and each later block's, is rebuilt from x-hat with gamma and beta read now.
         """
@@ -329,7 +329,7 @@ class MultiBranchModel:
                     self.heads[part].release()
                 continue
             dzp = self.heads[part].backward(grads[part])
-            if part == "speaker" and self._grl_active:
+            if part == "speaker":
                 dzp = self.grl.backward(dzp)
             dz = dzp if dz is None else dz + dzp
         if dz is None and "encoder" in pending:  # trained, but no gradient reaches it

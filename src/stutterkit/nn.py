@@ -376,17 +376,17 @@ class Dropout(Layer):
 
 
 class GradReverse(Layer):
-    """Identity forward; backward multiplies the incoming gradient by -lambda."""
+    """Identity forward that records lambda; backward multiplies the incoming gradient
+    by -lambda, or passes it through when lambda is None (no reversal)."""
 
-    def __init__(self):
-        self._lam = 0.0
+    _lam = None
 
-    def forward(self, x: np.ndarray, lam: float) -> np.ndarray:
+    def forward(self, x: np.ndarray, lam: float | None) -> np.ndarray:
         self._lam = lam
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return -self._lam * dy
+        return dy if self._lam is None else -self._lam * dy
 
 
 def softmax_cross_entropy(logits: np.ndarray, target):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -432,17 +433,13 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
     opt = nn.Adam(lr=cfg.lr)
     result = TrainResult(model=model, speaker_map=smap, optimizer=opt)
     last_loss = {}  # partition -> the loss it descended when last trainable
-    stopper = None
+    stopper = EarlyStopper(cfg.patience, cfg.min_delta)
     best_snapshot = None
     n = len(train_records)
 
-    log_fh = open(cfg.log_path, "w", newline="") if cfg.log_path else None
-    writer = None
-    if log_fh:
+    with open(cfg.log_path or os.devnull, "w", newline="") as log_fh:
         writer = csv.writer(log_fh)
         writer.writerow(LOG_COLUMNS)
-
-    try:
         for epoch in range(cfg.max_epochs):
             stage = stage_at(cfg, epoch)
             lam = lambda_at(cfg, epoch)
@@ -508,15 +505,12 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 l_total=loss_total(stage, lam, l_fluent, l_disfluent, l_speaker),
                 valid_stutter_loss=valid_stutter, train_acc=hits / seen, valid_acc=valid_acc)
             result.history.append(rec)
-            if writer:
-                writer.writerow(rec.row())
-                log_fh.flush()
+            writer.writerow(rec.row())
+            log_fh.flush()
             if callback:
                 callback(rec, model)
 
             if valid_records and early_stop_active(cfg, stage):
-                if stopper is None:
-                    stopper = EarlyStopper(cfg.patience, cfg.min_delta)
                 if stopper.update(valid_stutter):
                     result.best_epoch = epoch
                     result.best_valid_stutter_loss = valid_stutter
@@ -525,9 +519,6 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                     result.stopped_epoch = epoch
                     log.info("early stop at epoch %d (best %d)", epoch, result.best_epoch)
                     break
-    finally:
-        if log_fh:
-            log_fh.close()
 
     if best_snapshot is not None:
         model.load_snapshot(best_snapshot)

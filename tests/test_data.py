@@ -48,14 +48,6 @@ def make_records(n_podcasts=5, per_class_per_podcast=3):
     return records
 
 
-class TestClipRecord:
-    def test_fluent_pseudo_label(self):
-        fluent = ClipRecord("a", "p", StutterClass.FLUENT)
-        block = ClipRecord("b", "p", StutterClass.BLOCK)
-        assert fluent.fluent_label == 0
-        assert block.fluent_label == 1
-
-
 class TestLabels:
     def test_parse_is_case_insensitive(self):
         assert parse_label("fluent") == StutterClass.FLUENT
@@ -349,6 +341,54 @@ class TestKfold:
         with pytest.raises(InvalidConfig, match="'speaker'"):
             kfold(make_records(n_podcasts=10), k=5, by="speaker")
         assert issubclass(InvalidConfig, ConfigError)
+
+
+# Splits and folds of make_records(n_podcasts=10), pinned as numpy's default_rng dealt them:
+# the determinism tests above pass on any reshuffle that one process repeats, these do not.
+# A podcast-level part is its podcasts' clips, podcast by podcast, each in manifest order.
+GOLDEN_SPLIT_PODCASTS = [  # split_by_podcast(seed=3): train, valid, test
+    ["pod9", "pod6", "pod0", "pod2", "pod1", "pod4", "pod7", "pod5"], ["pod3"], ["pod8"]]
+GOLDEN_FOLD_PODCASTS = [  # kfold(k=5, seed=2): each fold's podcasts
+    ["pod2", "pod0"], ["pod7", "pod6"], ["pod9", "pod5"], ["pod3", "pod4"], ["pod8", "pod1"]]
+GOLDEN_CLIP_FOLDS = [  # kfold(k=5, seed=2, by="clip"): each fold's clips
+    ("p9_c4_0 p5_c0_0 p0_c4_1 p1_c4_0 p0_c4_2 p7_c1_0 p8_c2_1 p0_c1_1 p5_c4_2 p0_c3_2 "
+     "p2_c4_0 p6_c2_1 p3_c3_0 p6_c3_2 p1_c3_2 p8_c2_2 p8_c3_2 p7_c0_2 p7_c4_0 p1_c0_0 "
+     "p7_c4_1 p0_c0_2 p1_c2_2 p3_c1_0 p8_c1_1 p5_c3_1 p0_c2_1 p8_c2_0 p3_c0_0 p8_c0_0").split(),
+    ("p9_c3_1 p9_c2_0 p9_c2_1 p3_c2_0 p6_c4_2 p4_c1_2 p6_c1_2 p3_c2_2 p4_c3_0 p9_c1_0 "
+     "p6_c2_0 p0_c3_1 p5_c1_0 p0_c1_2 p3_c3_2 p6_c4_0 p9_c0_0 p1_c3_1 p7_c3_0 p6_c2_2 "
+     "p1_c1_1 p5_c2_1 p7_c1_2 p2_c3_1 p8_c4_1 p5_c2_0 p3_c1_1 p3_c0_2 p1_c1_0 p9_c0_2").split(),
+    ("p4_c2_0 p9_c0_1 p4_c3_2 p5_c0_1 p1_c4_1 p3_c2_1 p4_c3_1 p7_c3_2 p0_c2_2 p5_c3_0 "
+     "p9_c1_2 p0_c2_0 p5_c3_2 p3_c1_2 p2_c1_1 p1_c4_2 p8_c4_0 p1_c2_0 p0_c3_0 p2_c3_0 "
+     "p4_c0_1 p7_c3_1 p8_c4_2 p0_c1_0 p9_c1_1 p8_c1_0 p2_c1_2 p3_c4_2 p0_c4_0 p2_c0_2").split(),
+    ("p2_c1_0 p2_c2_2 p5_c4_0 p1_c1_2 p4_c4_1 p6_c0_0 p9_c3_2 p4_c2_2 p7_c2_1 p2_c3_2 "
+     "p7_c4_2 p9_c4_1 p3_c3_1 p8_c3_0 p6_c0_1 p6_c4_1 p6_c0_2 p9_c3_0 p2_c4_1 p4_c1_0 "
+     "p6_c1_0 p0_c0_0 p7_c2_2 p4_c0_0 p2_c4_2 p9_c4_2 p4_c0_2 p4_c2_1 p9_c2_2 p3_c4_1").split(),
+    ("p4_c4_2 p5_c1_2 p4_c1_1 p5_c1_1 p2_c2_0 p7_c0_1 p3_c0_1 p1_c0_1 p6_c1_1 p1_c3_0 "
+     "p7_c2_0 p8_c1_2 p5_c0_2 p5_c4_1 p3_c4_0 p1_c2_1 p0_c0_1 p8_c3_1 p8_c0_1 p8_c0_2 "
+     "p7_c1_1 p1_c0_2 p5_c2_2 p7_c0_0 p2_c2_1 p2_c0_1 p2_c0_0 p6_c3_0 p6_c3_1 p4_c4_0").split(),
+]
+
+
+class TestGoldenMembership:
+    def setup_method(self):
+        self.records = make_records(n_podcasts=10)
+
+    def clip_ids(self, podcasts):
+        return [r.clip_id for p in podcasts for r in self.records if r.podcast_id == p]
+
+    def test_split_by_podcast(self):
+        split = split_by_podcast(self.records, seed=3)
+        assert [[r.clip_id for r in part] for part in split] == [
+            self.clip_ids(pods) for pods in GOLDEN_SPLIT_PODCASTS]
+
+    @pytest.mark.parametrize("by", ["podcast", "clip"])
+    def test_kfold(self, by):
+        want = (GOLDEN_CLIP_FOLDS if by == "clip"
+                else [self.clip_ids(pods) for pods in GOLDEN_FOLD_PODCASTS])
+        splits = kfold(self.records, k=5, seed=2, by=by)
+        assert [[r.clip_id for r in s.valid] for s in splits] == want
+        for i, s in enumerate(splits):
+            assert [r.clip_id for r in s.train] == [c for j, f in enumerate(want) if j != i for c in f]
 
 
 class TestSyntheticCorpus:

