@@ -30,6 +30,7 @@ from .checkpoint import inspect_checkpoint, load_checkpoint, save_checkpoint
 from .data import (
     SyntheticConfig,
     count_by_class,
+    feature_sizes,
     features_of,
     generate_synthetic,
     load_manifest,
@@ -227,6 +228,8 @@ def cmd_train(args):
 
     arch_kwargs = dict(cfg["arch"])
     arch_kwargs.setdefault("n_podcasts", len(smap))
+    if split.train:  # an empty one fails on n_podcasts instead
+        arch_kwargs.setdefault("n_mfcc", int(feature_sizes(split.train, headers_only=True)[0]))
     arch = ArchConfig(**arch_kwargs)
     model = build_model(arch, seed=tc.seed)
 

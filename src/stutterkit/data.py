@@ -109,16 +109,15 @@ class ClipArray(list):
     Record i's matrix is base[rows[i], :, :lengths[i]]. base is the records' own array when
     each features is a whole row of one array of dtype (as from generate_synthetic), else a
     copy zero-padded to the longest clip, into which each unloaded record's file is read
-    without keeping it on the record. labels and speakers (given a speaker_map) are targets.
+    without keeping it on the record. make_batch's targets: labels, speakers (None if no map).
     """
 
     def __init__(self, records, dtype=np.float32, speaker_map=None):
         super().__init__(records)
         n_mfcc, self.lengths = feature_sizes(self, headers_only=True)
         self.labels = np.array([int(r.label) for r in self], dtype=np.intp)
-        self.speaker_map = speaker_map
-        if speaker_map is not None:
-            self.speakers = np.array([speaker_map[r.podcast_id] for r in self], dtype=np.intp)
+        self.speakers = None if speaker_map is None else np.array(
+            [speaker_map[r.podcast_id] for r in self], dtype=np.intp)
         feats = [r.features for r in self]
         base = getattr(feats[0], "base", None)
         if isinstance(base, np.ndarray) and base.ndim == 3 and base.dtype == dtype and all(
@@ -308,8 +307,16 @@ def split_by_podcast(records, ratios=(0.8, 0.1, 0.1), seed=0) -> DatasetSplit:
     return DatasetSplit(*_deal(groups, ratios, seed), mode="podcast-disjoint")
 
 
-def split_within_podcast(records, valid_fraction=0.1, seed=0, test=()) -> DatasetSplit:
-    """Stratified per-(podcast, class) train/valid split; test is supplied fixed.
+def hold_out(items: list, fraction: float, rng) -> tuple[list, list]:
+    """Shuffle items in place with rng; hold round(n * fraction) of them, but at least one
+    and never all, so a one-item list holds nothing. Returns (kept, held)."""
+    rng.shuffle(items)
+    n_held = min(max(int(round(len(items) * fraction)), 1), len(items) - 1)
+    return items[n_held:], items[:n_held]
+
+
+def split_within_podcast(records, valid_fraction=0.1, seed=0) -> DatasetSplit:
+    """Stratified per-(podcast, class) train/valid split; test is empty.
 
     Every (podcast, class) cell with at least 2 clips contributes at least
     one clip to each side; single-clip cells go to train with a warning.
@@ -330,36 +337,31 @@ def split_within_podcast(records, valid_fraction=0.1, seed=0, test=()) -> Datase
         for r in groups[pid]:
             cells.setdefault(r.label, []).append(r)
         for cls in sorted(cells, key=int):
-            cell = sorted(cells[cls], key=lambda r: r.clip_id)
-            rng.shuffle(cell)
-            if len(cell) < 2:
-                log.warning(
-                    "podcast %s class %s has a single clip; keeping it in train",
-                    pid,
-                    CLASS_NAMES[cls],
-                )
-                train.extend(cell)
-                continue
-            n_valid = int(round(len(cell) * valid_fraction))
-            n_valid = min(max(n_valid, 1), len(cell) - 1)
-            valid.extend(cell[:n_valid])
-            train.extend(cell[n_valid:])
-    return DatasetSplit(train, valid, list(test), mode="within-podcast")
+            if len(cells[cls]) < 2:
+                log.warning("podcast %s class %s has a single clip; keeping it in train",
+                            pid, CLASS_NAMES[cls])
+            kept, held = hold_out(sorted(cells[cls], key=lambda r: r.clip_id), valid_fraction, rng)
+            valid.extend(held)
+            train.extend(kept)
+    return DatasetSplit(train, valid, [], mode="within-podcast")
 
 
 def kfold(records, k=10, seed=0, by="podcast") -> list[DatasetSplit]:
     """k cross-validation splits; folds are podcast-disjoint by default.
 
-    Clip-level folding is available behind ``by="clip"``.
+    Clip-level folding is available behind ``by="clip"``; 2 <= k <= the group count.
     """
+    if k < 2:
+        raise InvalidConfig(f"k-fold needs k >= 2, got {k}")
     if by == "podcast":
         groups = _podcast_groups(records)
-        if len(groups) < k:
-            raise TooFewPodcasts(f"need >= {k} podcasts for {k}-fold, got {len(groups)}")
     elif by == "clip":  # one-record groups, keyed by position in clip-id order
         groups = {i: [r] for i, r in enumerate(sorted(records, key=lambda r: r.clip_id))}
     else:
         raise InvalidConfig(f"unknown fold granularity {by!r}; expected 'podcast' or 'clip'")
+    if len(groups) < k:
+        too_few = TooFewPodcasts if by == "podcast" else DataError
+        raise too_few(f"need >= {k} {by}s for {k}-fold, got {len(groups)}")
     folds = _deal(groups, [1.0 / k] * k, seed)
     splits = []
     for i in range(k):

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import nn
+from . import data, nn
 from .errors import EmptyMatrix, LengthMismatch, ParseError, TooFewPodcasts
 from .model import CLASS_INITIALS, CLASS_NAMES, MultiBranchModel, StutterClass
 from .training import Inference, infer
@@ -247,14 +247,9 @@ def speaker_probe(embeddings, podcast_ids, seed=0, steps=200, lr=1e-2,
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for s in range(len(speakers)):
-        idx = np.flatnonzero(targets == s)
-        idx = idx[rng.permutation(idx.size)]
-        if idx.size < 2:
-            train_idx.extend(idx)
-            continue
-        n_test = min(max(int(round(idx.size * heldout_fraction)), 1), idx.size - 1)
-        test_idx.extend(idx[:n_test])
-        train_idx.extend(idx[n_test:])
+        kept, held = data.hold_out(list(np.flatnonzero(targets == s)), heldout_fraction, rng)
+        train_idx.extend(kept)
+        test_idx.extend(held)
     if not test_idx:
         raise TooFewPodcasts("no podcast has enough samples to hold out")
     train_idx = np.array(sorted(train_idx))

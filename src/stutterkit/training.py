@@ -67,8 +67,7 @@ class TrainConfig:
     objective: str = "baseline"
     lam: float = 0.5
     lambda_schedule: str = "fixed"
-    gamma: float = 10.0  # sigmoid_ramp steepness
-    sigmoid_paper_sign: bool = False  # flip to 2/(1+exp(+gamma*p))-1
+    gamma: float = 10.0  # sigmoid_ramp steepness; -10 gives the paper's printed sign
     max_epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
@@ -153,7 +152,7 @@ def lambda_at(cfg: TrainConfig, epoch: int) -> float:
 
     fixed: the configured constant. decay10: 10^(-epoch), so 1 at epoch 0.
     sigmoid_ramp: 2 / (1 + exp(-gamma * p)) - 1 with p = epoch / max_epochs,
-    rising from 0 toward 1; the paper-sign variant uses +gamma * p and decays
+    rising from 0 toward 1; a negative gamma, the paper's printed sign, decays
     from 0 toward -1 instead. Never a numpy scalar: numpy 2 promotes a float32
     gradient times an np.float64 to float64, so the backward would run in double.
     """
@@ -164,8 +163,7 @@ def lambda_at(cfg: TrainConfig, epoch: int) -> float:
     if cfg.lambda_schedule == "decay10":
         return 10.0 ** (-epoch)
     p = epoch / cfg.max_epochs
-    sign = 1.0 if cfg.sigmoid_paper_sign else -1.0
-    return float(2.0 / (1.0 + np.exp(sign * cfg.gamma * p)) - 1.0)
+    return float(2.0 / (1.0 + np.exp(-cfg.gamma * p)) - 1.0)
 
 
 def trainable_partitions(cfg: TrainConfig, stage: str) -> frozenset:
@@ -277,27 +275,23 @@ def speaker_index_map(records) -> dict[str, int]:
     return {pid: i for i, pid in enumerate(sorted({r.podcast_id for r in records}))}
 
 
-def make_batch(records, indices, speaker_map=None, dtype=np.float32):
+def make_batch(records, indices, dtype=np.float32):
     """Stack feature matrices, cropping every clip to the batch's shortest length.
 
-    A ClipArray, which must be of dtype and built with speaker_map unless that
-    is None, is gathered by row instead, to the same values.
+    A ClipArray, which must be of dtype, is gathered by row instead, to the same
+    values, and gives the speaker targets it was built with; a plain list gives none.
     """
     if isinstance(records, ClipArray):
-        if records.base.dtype != dtype or speaker_map not in (None, records.speaker_map):
-            raise DataError(f"a {np.dtype(dtype)} batch needs a ClipArray of that dtype, "
-                            "built with the speaker map given")
+        if records.base.dtype != dtype:
+            raise DataError(f"a {np.dtype(dtype)} batch needs a ClipArray of that dtype")
         idx = np.asarray(indices)
         x = records.base[records.rows[idx], :, :records.lengths[idx].min()]
-        return x, records.labels[idx], None if speaker_map is None else records.speakers[idx]
+        return x, records.labels[idx], None if records.speakers is None else records.speakers[idx]
     feats = [features_of(records[i]) for i in indices]
     t_min = min(f.shape[1] for f in feats)
     x = np.stack([f[:, :t_min] for f in feats]).astype(dtype, copy=False)
     y = np.array([int(records[i].label) for i in indices], dtype=np.intp)
-    ys = None
-    if speaker_map is not None:
-        ys = np.array([speaker_map[records[i].podcast_id] for i in indices], dtype=np.intp)
-    return x, y, ys
+    return x, y, None
 
 
 def _batch_ranges(n, batch_size):
@@ -366,6 +360,20 @@ def dataset_accuracy(model: MultiBranchModel, records, batch_size=64) -> float:
     return infer(model, records, batch_size).accuracy
 
 
+def train_step(model, opt, stage: str, lam: float, parts, x, y, ys, rng):
+    """Forward parts in train mode, backward each trained head's loss at its STAGES[stage]
+    weight (reversed at lam where the stage says so), step Adam; returns (lf, ld, losses)."""
+    weight = STAGES[stage].head_weights(lam)
+    _, lf, ld, ls = model.forward(x, train=parts, rng=rng,
+                                  grl_lambda=lam if STAGES[stage].reversal else None)
+    losses = compute_losses(lf, ld, ls, y, ys)
+    grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
+    model.backward(*(weight[h] * grads[h] if h in parts else None
+                     for h in ("fluent", "disfluent", "speaker")))
+    opt.step({part: model.partitions[part] for part in PARTITIONS if part in parts})
+    return lf, ld, losses
+
+
 @dataclass
 class EpochRecord:
     """One epoch-log row: l_* and train_acc from the epoch's own steps, valid_* from infer."""
@@ -419,14 +427,13 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
     if not train_records:
         raise EmptyBatch("no training records")
     smap = speaker_index_map(train_records)
-    uses_speaker_loss = cfg.objective in ("mtl", "adv")
-    if uses_speaker_loss and len(smap) != model.arch.n_podcasts:
+    # Baseline still logs a diagnostic speaker loss when the head size matches.
+    track_speaker = len(smap) == model.arch.n_podcasts
+    if cfg.objective in ("mtl", "adv") and not track_speaker:
         raise InvalidConfig(
             f"model speaker head has {model.arch.n_podcasts} outputs but the "
             f"training set has {len(smap)} podcasts"
         )
-    # Baseline still logs a diagnostic speaker loss when the head size matches.
-    track_speaker = len(smap) == model.arch.n_podcasts
     train_records = ClipArray(train_records, model.dtype, smap if track_speaker else None)
     valid_records = valid_records and ClipArray(valid_records, model.dtype)
 
@@ -444,14 +451,11 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
             stage = stage_at(cfg, epoch)
             lam = lambda_at(cfg, epoch)
             parts = trainable_partitions(cfg, stage)
-            weight = STAGES[stage].head_weights(lam)
-            reversal = STAGES[stage].reversal
             for part in parts:
                 loss = descended_loss(stage, part)
                 if last_loss.get(part, loss) != loss:
                     opt.reset(part)
                 last_loss[part] = loss
-            stepped = {part: model.partitions[part] for part in PARTITIONS if part in parts}
 
             order = np.random.default_rng([cfg.seed, epoch, 0]).permutation(n)
             drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
@@ -463,20 +467,9 @@ def train(model: MultiBranchModel, train_records, valid_records, cfg: TrainConfi
                 if idx.size == 1 and n > 1:
                     log.warning("dropping size-1 trailing batch (batch norm needs >= 2)")
                     continue
-                x, y, ys = make_batch(
-                    records=train_records,
-                    indices=idx,
-                    speaker_map=smap if track_speaker else None,
-                    dtype=model.dtype,
-                )
-                _, lf, ld, ls = model.forward(x, train=parts, rng=drop_rng,
-                                              grl_lambda=lam if reversal else None)
+                x, y, ys = make_batch(records=train_records, indices=idx, dtype=model.dtype)
+                lf, ld, losses = train_step(model, opt, stage, lam, parts, x, y, ys, drop_rng)
                 hits += int((two_branch(lf, ld) == y).sum())
-                losses = compute_losses(lf, ld, ls, y, ys)
-                grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
-                model.backward(*(weight[h] * grads[h] if h in parts else None
-                                 for h in ("fluent", "disfluent", "speaker")))
-                opt.step(stepped)
 
                 sum_f += losses.l_fluent * losses.n
                 sum_d += losses.l_disfluent * losses.n_disfluent

@@ -95,7 +95,7 @@ class TestRunConfig:
                     "contexts:_parse_contexts head_hidden:_parse_ints dropout:float "
                     "bn_before_relu:_parse_bool",
             "train": "objective:str lam:float lambda_schedule:str gamma:float "
-                     "sigmoid_paper_sign:_parse_bool max_epochs:int batch_size:int lr:float "
+                     "max_epochs:int batch_size:int lr:float "
                      "seed:int patience:int min_delta:float stage_bounds:_parse_ints "
                      "stage1_trains_encoder:_parse_bool",
             "mfcc": "n_mfcc:int window_ms:float hop_ms:float n_mels:int fft_size:_opt_int "
@@ -226,6 +226,14 @@ class TestPipeline:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "epoch" and len(rows) == 3  # header + 2 epochs
 
+    def test_train_takes_n_mfcc_from_the_features(self, corpus, tmp_path, capsys):
+        # the corpus has 8 MFCCs, not ArchConfig's default 20, and no arch.n_mfcc is set
+        ckpt = tmp_path / "m.ckpt"
+        assert TRAIN_ARGS[:2] == ["--set", "arch.n_mfcc=8"]
+        assert main(["train", "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(ckpt)] + TRAIN_ARGS[2:]) == 0
+        assert load_checkpoint(ckpt)[0].arch.n_mfcc == 8
+
     def test_inspect_prints_header_summary(self, trained, capsys):
         assert main(["inspect", "--checkpoint", str(trained)]) == 0
         shown = json.loads(capsys.readouterr().out)
@@ -339,6 +347,14 @@ class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         assert main(["synth", "--out-dir", str(tmp_path / "o"),
                      "--set", "synth.volume=11"]) == 1
+
+    def test_removed_paper_sign_key_is_unknown(self, corpus, tmp_path, capsys):
+        """train.gamma = -10 replaces train.sigmoid_paper_sign = true."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.sigmoid_paper_sign = true\n")
+        assert main(["train", "--manifest", str(corpus / "manifest.csv"),
+                     "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)] + TRAIN_ARGS) == 1
+        assert "unknown config key 'train.sigmoid_paper_sign'" in capsys.readouterr().err
 
     def test_invalid_lambda(self, corpus, tmp_path):
         rc = main(["train", "--manifest", str(corpus / "manifest.csv"),

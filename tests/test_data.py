@@ -13,6 +13,7 @@ from stutterkit.data import (
     adapt_sep28k,
     features_of,
     generate_synthetic,
+    hold_out,
     kfold,
     load_manifest,
     parse_label,
@@ -294,11 +295,21 @@ class TestWithinPodcastSplit:
         assert {"lone_b", "lone_f"} <= train_ids
         assert all(not r.clip_id.startswith("lone") for r in split.valid)
 
-    def test_test_records_pass_through(self):
-        records = make_records(n_podcasts=3)
-        held = [ClipRecord("t1", "podX", StutterClass.FLUENT)]
-        split = split_within_podcast(records, test=held)
-        assert split.test == held
+    def test_golden_membership_with_single_clip_cells(self):
+        # Pinned as numpy's default_rng dealt it; podZ's two cells hold one clip each.
+        records = make_records(n_podcasts=2, per_class_per_podcast=3) + [
+            ClipRecord("lone_b", "podZ", StutterClass.BLOCK),
+            ClipRecord("lone_f", "podZ", StutterClass.FLUENT),
+        ]
+        split = split_within_podcast(records, valid_fraction=0.4, seed=4)
+        assert [r.clip_id for r in split.train] == (
+            "p0_c0_1 p0_c0_2 p0_c1_0 p0_c1_1 p0_c2_2 p0_c2_0 p0_c3_1 p0_c3_2 p0_c4_1 p0_c4_2 "
+            "p1_c0_0 p1_c0_2 p1_c1_1 p1_c1_2 p1_c2_2 p1_c2_0 p1_c3_1 p1_c3_2 p1_c4_0 p1_c4_1 "
+            "lone_f lone_b").split()
+        assert [r.clip_id for r in split.valid] == (
+            "p0_c0_0 p0_c1_2 p0_c2_1 p0_c3_0 p0_c4_0 "
+            "p1_c0_1 p1_c1_0 p1_c2_1 p1_c3_0 p1_c4_2").split()
+        assert split.test == [] and split.mode == "within-podcast"
 
     @pytest.mark.parametrize("fraction", [float("nan"), 2.0, -1.0, float("inf")])
     def test_bad_valid_fraction_rejected(self, fraction):
@@ -309,6 +320,25 @@ class TestWithinPodcastSplit:
         records = make_records(n_podcasts=3) + [ClipRecord("x", "podY", StutterClass.FLUENT)]
         with pytest.raises(EmptyPodcast):
             split_within_podcast(records)
+
+
+class TestHoldOut:
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_one_item_holds_nothing(self, fraction):
+        assert hold_out(["x"], fraction, np.random.default_rng(0)) == (["x"], [])
+
+    @pytest.mark.parametrize("fraction, n_held", [(0.0, 1), (0.3, 2), (0.5, 2), (1.0, 4)])
+    def test_holds_at_least_one_and_never_all(self, fraction, n_held):
+        kept, held = hold_out(list("abcde"), fraction, np.random.default_rng(0))
+        assert len(held) == n_held and sorted(kept + held) == list("abcde")
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_draws_what_a_permutation_draws(self, n):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        items = [f"i{j}" for j in range(n)]
+        kept, held = hold_out(list(items), 0.3, rng)
+        assert held + kept == [items[j] for j in ref.permutation(n)]
+        assert rng.integers(1 << 30) == ref.integers(1 << 30)
 
 
 class TestKfold:
@@ -335,6 +365,18 @@ class TestKfold:
         records = make_records(n_podcasts=4)
         with pytest.raises(TooFewPodcasts):
             kfold(records, k=5)
+
+    @pytest.mark.parametrize("by", ["podcast", "clip"])
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_folds_is_a_config_error(self, k, by):
+        with pytest.raises(InvalidConfig, match=f"k >= 2, got {k}"):
+            kfold(make_records(n_podcasts=3), k=k, by=by)
+
+    def test_more_folds_than_clips_is_a_data_error(self):
+        records = make_records(n_podcasts=3)
+        with pytest.raises(DataError, match="need >= 46 clips for 46-fold, got 45"):
+            kfold(records, k=46, by="clip")
+        assert len(kfold(records, k=45, by="clip")) == 45
 
     def test_unknown_granularity_is_a_config_error(self):
         """A configuration error: the CLI exits 1 on it."""

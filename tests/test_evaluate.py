@@ -259,6 +259,18 @@ class TestSpeakerProbe:
         assert a.n_train == 16 and a.n_heldout == 4
         assert a.accuracy == b.accuracy
 
+    @pytest.mark.parametrize("seed, hits", [(1, 5), (3, 4)])
+    def test_golden_held_out_accuracy(self, seed, hits):
+        # Pinned as numpy's default_rng held the samples out: speaker c's single sample
+        # stays in training, and a, b and d hold out round(0.2 n) = 3, 2 and 1.
+        ids = ["a"] * 15 + ["b"] * 10 + ["c"] + ["d"] * 7
+        emb = np.random.default_rng(7).normal(size=(len(ids), 3))
+        emb[:15, 0] += 1.0
+        emb[15:25, 1] += 1.0
+        result = speaker_probe(emb, ids, seed=seed)
+        assert (result.n_train, result.n_heldout, result.n_speakers) == (27, 6, 4)
+        assert result.accuracy == hits / 6
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(TooFewPodcasts):
             speaker_probe(np.zeros((3, 2)), ["p0", "p0", "p0"])

@@ -23,7 +23,7 @@ from gradcases import channels_major
 from oracles import tdnn_reference
 from stutterkit import nn
 from stutterkit.checkpoint import load_checkpoint, save_checkpoint
-from stutterkit.data import SyntheticConfig, generate_synthetic
+from stutterkit.data import ClipArray, SyntheticConfig, generate_synthetic
 from stutterkit.errors import NoPendingForward, StutterKitError
 from stutterkit.evaluate import evaluate_model, export_embeddings
 from stutterkit.model import EVAL_GROUP_BYTES, PARTITIONS, ArchConfig, build_model
@@ -69,7 +69,7 @@ def train_step(model, x, y, ys, parts=frozenset(PARTITIONS), grl_lambda=None):
 
 
 def batch_of(records, n=8):
-    return make_batch(records, range(n), speaker_map=speaker_index_map(records))
+    return make_batch(ClipArray(records, speaker_map=speaker_index_map(records)), range(n))
 
 
 def with_affine_drawn(model, seed=0):

@@ -38,8 +38,7 @@ from stutterkit.training import (
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# make_batch on a float32 ClipArray: asked for float64, with another speaker map, and with a
-# speaker map when the array was built without one; prints each error's class name.
+# make_batch on a float32 ClipArray asked for float64; prints the error's class name.
 MISMATCHED_CLIP_ARRAYS = """
 import numpy as np
 from stutterkit.data import ClipArray, SyntheticConfig, generate_synthetic
@@ -47,15 +46,11 @@ from stutterkit.errors import DataError
 from stutterkit.training import make_batch, speaker_index_map
 assert not __debug__
 records = generate_synthetic(SyntheticConfig(n_podcasts=3, clips_per_class=2, frames=12))
-smap = speaker_index_map(records)
-other = {pid: 2 - i for pid, i in smap.items()}
-for array, kwargs in ((ClipArray(records, np.float32, smap), dict(dtype=np.float64)),
-                      (ClipArray(records, np.float32, smap), dict(speaker_map=other)),
-                      (ClipArray(records, np.float32), dict(speaker_map=smap))):
-    try:
-        make_batch(array, [0, 1], **kwargs)
-    except DataError as exc:
-        print(type(exc).__name__)
+try:
+    make_batch(ClipArray(records, np.float32, speaker_index_map(records)), [0, 1],
+               dtype=np.float64)
+except DataError as exc:
+    print(type(exc).__name__)
 """
 
 
@@ -176,9 +171,8 @@ class TestLambdaSchedule:
         cfg = TrainConfig(
             objective="adv",
             lambda_schedule="sigmoid_ramp",
-            gamma=10.0,
+            gamma=-10.0,
             max_epochs=100,
-            sigmoid_paper_sign=True,
         )
         assert lambda_at(cfg, 50) == pytest.approx(-np.tanh(2.5), abs=1e-12)
 
@@ -300,7 +294,8 @@ class TestBatching:
     def test_make_batch_crops_to_shortest(self):
         records = tiny_corpus()
         records[0].features = records[0].features[:, :9]
-        x, y, ys = make_batch(records, [0, 1, 2], speaker_map=speaker_index_map(records))
+        x, y, ys = make_batch(ClipArray(records, speaker_map=speaker_index_map(records)),
+                              [0, 1, 2])
         assert x.shape == (3, 5, 9)
         assert x.dtype == np.float32
         assert y.shape == (3,) and ys.shape == (3,)
@@ -344,7 +339,7 @@ class TestGather:
         want = [stacked(records, b, smap) for b in batches]
         monkeypatch.setattr(training, "features_of", None)  # a per-clip fallback would fail
         for b, w in zip(batches, want):
-            assert_same_batch(make_batch(wrapped, b, speaker_map=smap), w)
+            assert_same_batch(make_batch(wrapped, b), w)
 
     def test_float64_and_two_corpora_take_the_copy_path(self):
         one, two = tiny_corpus(seed=0), tiny_corpus(seed=1)
@@ -412,7 +407,7 @@ class TestGather:
         done = subprocess.run([sys.executable, "-O", "-c", MISMATCHED_CLIP_ARRAYS],
                               cwd=os.path.dirname(__file__), capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": SRC})
-        assert done.stdout.split() == ["DataError"] * 3, done.stderr
+        assert done.stdout.split() == ["DataError"], done.stderr
 
     def test_train_on_feature_files_matches_in_memory(self, tmp_path):
         records = tiny_corpus()

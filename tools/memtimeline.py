@@ -8,8 +8,9 @@ Run from the root of the checkout to measure: the program is imported from
 encoder blocks of --channels channels, 20 MFCCs, four podcasts and the default
 heads, draws one random (batch, 20, frames) batch and runs the training stage
 --stage of training.STAGES (default `mtl`, the train-paper workload's) at
-lambda 0.3: forward with that stage's train-mode partitions, losses, backward
-with its head weights, and an Adam step. The defaults are the paper scale
+lambda 0.3 through training.train_step, the step train() runs: forward with
+that stage's train-mode partitions, losses, backward with its head weights,
+and an Adam step. The defaults are the paper scale
 (batch 32, 512 channels, 300 frames). Each batch-norm order runs in turn.
 
 One untraced step first lets numpy and Adam make their first-call
@@ -68,17 +69,10 @@ def instrument(model, opt, rows):
 
 def step(model, opt, x, y, ys, stage):
     import numpy as np
-    from stutterkit.training import STAGES, compute_losses
+    from stutterkit.training import STAGES, train_step
 
-    spec = STAGES[stage]
-    weight = spec.head_weights(LAMBDA)
-    _, lf, ld, ls = model.forward(x, train=spec.trains, rng=np.random.default_rng(0),
-                                  grl_lambda=LAMBDA if spec.reversal else None)
-    losses = compute_losses(lf, ld, ls, y, ys)
-    grads = {"fluent": losses.dlf, "disfluent": losses.dld, "speaker": losses.dls}
-    model.backward(*(weight[h] * grads[h] if h in spec.trains else None
-                     for h in ("fluent", "disfluent", "speaker")))
-    opt.step({part: model.partitions[part] for part in spec.trains})
+    train_step(model, opt, stage, LAMBDA, STAGES[stage].trains, x, y, ys,
+               np.random.default_rng(0))
 
 
 def timeline(args, bn_before_relu) -> list[str]:
