@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import data, nn
-from .errors import EmptyMatrix, LengthMismatch, ParseError, TooFewPodcasts
+from .errors import EmptyMatrix, InvalidConfig, LengthMismatch, ParseError, TooFewPodcasts
 from .model import CLASS_INITIALS, CLASS_NAMES, MultiBranchModel, StutterClass
 from .training import Inference, infer
 
@@ -234,6 +234,8 @@ def speaker_probe(embeddings, podcast_ids, seed=0, steps=200, lr=1e-2,
     contributes to both sides) and depends only on (podcast_ids, seed), so
     probes over different embedding spaces see identical splits.
     """
+    if not (steps >= 1 and 0 < lr < np.inf and 0 <= heldout_fraction <= 1):
+        raise InvalidConfig("probe needs steps >= 1, 0 < lr < inf and 0 <= heldout_fraction <= 1")
     emb = np.asarray(embeddings, dtype=np.float64)
     ids = list(podcast_ids)
     if emb.ndim != 2 or len(ids) != emb.shape[0]:

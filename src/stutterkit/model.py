@@ -92,27 +92,45 @@ class _ReluBatchNorm:
     """ReLU and batch norm over a layer's output, in the configured order, in place.
 
     Only the model's own arrays pass through: activate writes over the layer output y
-    it is given, and backward over the incoming gradient dy.
+    it is given, and backward over dy; a train-mode y over nn.TRAIN_BLOCK_BYTES goes by row_blocks.
     """
 
     def __init__(self, channels, bn_before_relu, dtype):
         self.relu = nn.Relu()
         self.bn = nn.BatchNorm1d(channels, dtype=dtype)
         self.bn_first = bn_before_relu
+        self._blocks = None  # a blocked forward's output shape and per block (rows, caches)
 
-    def activate(self, y, train):
+    def activate(self, y, train, rows=slice(None), mask=None, xhat=None):
+        if train and y.ndim == 3 and y.nbytes > nn.TRAIN_BLOCK_BYTES and y.shape[0] > 1:
+            self._blocks = y.shape, []
+            masks, xhats = np.empty(y.shape, bool), np.empty_like(y)  # one array, not one per block
+            for r in nn.row_blocks(y):
+                self.activate(y[r], True, r, masks[r], xhats[r])
+                self._blocks[1].append((r, self.relu._cache, self.bn._cache))
+            return y
         if self.bn_first:
-            y = self.bn.forward(y, train, out=y)
-            return self.relu.forward(y, train, out=y)
-        y = self.relu.forward(y, train, out=y)
-        return self.bn.forward(y, train, out=y)
+            y = self.bn.forward(y, train, out=y, rows=rows, xhat=xhat)
+            return self.relu.forward(y, train, out=y, mask=mask)
+        y = self.relu.forward(y, train, out=y, mask=mask)
+        return self.bn.forward(y, train, out=y, rows=rows, xhat=xhat)
 
-    def output(self):
+    def output(self, out=None):
         """The pending train-mode forward's output, rebuilt from batch norm's x-hat by its ops."""
-        y = self.bn.output()
+        if out is None and self._blocks:
+            out = np.empty(self._blocks[0], self.bn.gamma.value.dtype)
+            for r, _, self.bn._cache in self._blocks[1]:
+                self.output(out[r])
+            return out
+        y = self.bn.output(out=out)
         return self.relu.forward(y, False, out=y) if self.bn_first else y
 
     def backward(self, dy):
+        if self._blocks:
+            (_, blocks), self._blocks = self._blocks, None
+            for r, self.relu._cache, self.bn._cache in blocks:
+                self.backward(dy[r])
+            return dy
         if self.bn_first:
             return self.bn.backward(self.relu.backward(dy, out=dy), out=dy)
         return self.relu.backward(self.bn.backward(dy, out=dy), out=dy)
@@ -120,6 +138,7 @@ class _ReluBatchNorm:
     def release(self):
         self.relu.release()
         self.bn.release()
+        self._blocks = None
 
 
 class _EncoderBlock(_ReluBatchNorm):
@@ -338,7 +357,8 @@ class MultiBranchModel:
         if dz is None or "encoder" not in pending:
             return
         blocks = self.encoder_blocks
-        dy = self.pool.backward(dz, blocks[-1].output())
+        dy = blocks[-1].output()
+        dy = self.pool.backward(dz, dy, out=dy)  # the rebuilt input is the model's to overwrite
         for before, block in zip(reversed(blocks[:-1]), reversed(blocks[1:])):
             # before's output is rebuilt once this block's bn and ReLU backward are done
             dy = block.tdnn.backward(block.backward(dy), before.output())

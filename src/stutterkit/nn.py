@@ -14,7 +14,8 @@ values over the batch are one contiguous row, so a per-channel statistic or bias
 gradient is one pairwise sum. Bias-gradient and batch-norm gradient sums, whose
 terms cancel, accumulate in float64 and round once. A train-mode TDNN contracts
 all clips in one GEMM; an eval-mode one runs a GEMM per clip, so no clip's output
-depends on its batch.
+depends on its batch. Train mode works in blocks within TRAIN_BLOCK_BYTES, about an L2
+cache: channel rows for ReLU, batch norm and pooling, clips for dX products; no bit moves.
 Flat tensors are (batch, features). Kernels are deterministic pure functions of
 (inputs, params, rng state); parameters are owned by the training loop.
 """
@@ -34,6 +35,14 @@ from .errors import (
     InvalidRate,
     ShapeMismatch,
 )
+
+TRAIN_BLOCK_BYTES = 256 << 10  # per array: 256 KiB beat 1 and 2 MiB at paper scale
+
+
+def row_blocks(x):
+    """Slices of channels-major x's rows, each block within TRAIN_BLOCK_BYTES or one row."""
+    rows = TRAIN_BLOCK_BYTES * x.shape[0] // x.nbytes or 1
+    return [slice(s, s + rows) for s in range(0, x.shape[0], rows)]
 
 
 @dataclass(eq=False)
@@ -114,8 +123,8 @@ class TdnnLayer(Layer):
     K = 1). Train mode contracts all clips at once, U viewed as (K * C_in, batch * T_out)
     (Chellapilla et al. 2006); eval mode runs one GEMM per clip on its strided columns
     of U, so a clip's output never depends on its batch. Backward views dy as (C_out,
-    batch * T_out) for dW and the bias sum, float64-accumulated, and scatter-adds dX as
-    one GEMM per offset, W_k^T dy; each unfolded copy is freed before the next. The
+    batch * T_out) for dW and the bias sum, float64-accumulated; dX is one GEMM for every
+    offset's W_k^T dy (ceil(batch / K) clips a GEMM past TRAIN_BLOCK_BYTES), scatter-added. The
     layer caches nothing: backward(dy, x) is handed the input the forward read, and
     backward(dy, x, input_grad=False) accumulates dW and db only.
     """
@@ -165,22 +174,25 @@ class TdnnLayer(Layer):
         return out
 
     def backward(self, dy: np.ndarray, x: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        c_out, b, t_out = dy.shape
+        (c_out, b, t_out), k = dy.shape, len(self.shifts)
         u = self._unfold(x, t_out)
         shape, dtype = x.shape, x.dtype
         del x
-        dy = dy.reshape(c_out, -1)
-        dw = dy @ u.reshape(len(u), -1).T
+        flat = dy.reshape(c_out, -1)
+        dw = flat @ u.reshape(len(u), -1).T
         del u
-        self.weight.grad += dw.reshape(c_out, len(self.shifts), -1).transpose(0, 2, 1)
-        self.bias.grad += dy.sum(axis=1, dtype=np.float64)
+        self.weight.grad += dw.reshape(c_out, k, -1).transpose(0, 2, 1)
+        self.bias.grad += flat.sum(axis=1, dtype=np.float64)
         if not input_grad:
             return None
         dx = np.zeros(shape, dtype)
-        # each w[k].T is then the Fortran-ordered copy numpy makes of a strided W[:, :, k].T
-        w = np.ascontiguousarray(self.weight.value.transpose(2, 0, 1))  # (K, C_out, C_in)
-        for k, s in enumerate(self.shifts):
-            dx[:, :, s : s + t_out] += (w[k].T @ dy).reshape(-1, b, t_out)
+        w = self.weight.value.transpose(0, 2, 1).reshape(c_out, -1)  # the forward's GEMM order
+        n = b if w.shape[1] * flat.shape[1] * dx.itemsize <= TRAIN_BLOCK_BYTES else -(-b // k)
+        for c in range(0, b, n):
+            dxu = (w.T @ flat[:, c * t_out : (c + n) * t_out]).reshape(k, shape[0], -1, t_out)
+            for j, s in enumerate(self.shifts):
+                dx[:, c : c + n, s : s + t_out] += dxu[j]
+            del dxu  # before the next chunk's product exists
         return dx
 
 
@@ -217,10 +229,10 @@ class Linear(Layer):
 
 
 class Relu(Layer):
-    def forward(self, x: np.ndarray, train: bool, out=None) -> np.ndarray:
-        """max(x, 0), into `out` if given (x itself, for an in-place ReLU)."""
+    def forward(self, x: np.ndarray, train: bool, out=None, mask=None) -> np.ndarray:
+        """max(x, 0), into `out` if given (x itself: in place); train mode's x > 0 into `mask`."""
         if train:
-            self._cache = x > 0
+            self._cache = np.greater(x, 0, out=mask)
         return np.maximum(x, 0, out=out)
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
@@ -245,12 +257,11 @@ class BatchNorm1d(Layer):
     Eval mode writes a*x + c, a = gamma / sqrt(running_var + eps), c = beta - a*running_mean,
     from the live parameters. a*x and c cancel when |running_mean| >> sqrt(running_var): at
     1000:1 the worst error is 2.6e-5 of the largest output, against 9e-8 for (x - mean) * a + beta.
-    Given out= (x itself, owned by the caller) eval writes its output there; train mode, whose
-    x-hat the cache keeps, allocates its own. Without out= x is left untouched.
+    Given out= (x itself, the caller's) the output goes there, in train mode once x-hat is built;
+    train mode may take only the channel rows `rows` of temporal input, and x-hat into `xhat`.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
-        self.channels = channels
         self.eps = eps
         self.momentum = momentum
         self.gamma = Param.zeros((channels,), dtype)
@@ -268,63 +279,65 @@ class BatchNorm1d(Layer):
     def init_params(self, rng=None):
         self.gamma.value[...] = 1.0  # beta stays zero
 
-    def forward(self, x: np.ndarray, train: bool, out=None) -> np.ndarray:
-        if x.ndim not in (2, 3) or x.shape[0 if x.ndim == 3 else 1] != self.channels:
-            raise ShapeMismatch(f"expected channel axis of {self.channels}, got {x.shape}")
+    def forward(self, x: np.ndarray, train: bool, out=None, rows=slice(None), xhat=None):
+        channels = self.running_mean[rows].size
+        if x.ndim not in (2, 3) or x.shape[0 if x.ndim == 3 else 1] != channels:
+            raise ShapeMismatch(f"expected channel axis of {channels}, got {x.shape}")
         # (channels, batch, frames) reduces its last two axes: one contiguous row per channel
-        axes, ch = ((1, 2), np.s_[:, None, None]) if x.ndim == 3 else ((0,), np.s_[:])
+        axes, ch = ((1, 2), (slice(None), None, None)) if x.ndim == 3 else ((0,), slice(None))
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
             out = np.multiply(x, scale[ch], out=out)
             out += (self.beta.value - scale * self.running_mean)[ch]
             return out
-        count = x.size // self.channels
+        count = x.size // channels
         if count < 2:
             raise DegenerateBatch(f"train-mode batch norm needs 2+ values per channel, got {count}")
         mean = _mean_of_sum(x.sum(axis=axes), count)
-        xhat = x - mean[ch]
-        y = np.square(xhat)  # this call's own temporary: the output goes here
+        xhat = np.subtract(x, mean[ch], out=xhat)
+        y = np.square(xhat, out=out)  # x is read: the squares, then the output, go over it
         var = _mean_of_sum(y.sum(axis=axes), count)
-        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
+        for running, stat in ((self.running_mean[rows], mean), (self.running_var[rows], var)):
+            running *= 1 - self.momentum
+            running += self.momentum * stat
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std[ch]
-        self._cache = (xhat, inv_std, axes, ch)
+        self._cache = (xhat, inv_std, axes, ch, rows)
         return self.output(out=y)
 
     def output(self, out=None) -> np.ndarray:
         """The pending train-mode forward's output, gamma * x-hat + beta, by the forward's ops."""
-        xhat, _, _, ch = self._cache
-        out = np.multiply(self.gamma.value[ch], xhat, out=out)
-        out += self.beta.value[ch]
+        xhat, _, _, ch, rows = self._cache
+        out = np.multiply(self.gamma.value[rows][ch], xhat, out=out)
+        out += self.beta.value[rows][ch]
         return out
 
     def backward(self, dy: np.ndarray, out=None) -> np.ndarray:
         """Input gradient, into `out` if given (dy itself); consumes the cached x-hat."""
-        (xhat, inv_std, axes, ch), self._cache = self._cache, None
+        (xhat, inv_std, axes, ch, rows), self._cache = self._cache, None
         sum_dy_xhat = (dy * xhat).sum(axis=axes, dtype=np.float64)
         sum_dy = dy.sum(axis=axes, dtype=np.float64)
-        self.gamma.grad += sum_dy_xhat
-        self.beta.grad += sum_dy
-        count = dy.size // self.channels
+        self.gamma.grad[rows] += sum_dy_xhat
+        self.beta.grad[rows] += sum_dy
+        count = dy.size // inv_std.size
         dx = np.subtract(dy, (sum_dy / count).astype(dy.dtype)[ch], out=out)
         xhat *= (sum_dy_xhat / count).astype(dy.dtype)[ch]
         dx -= xhat
-        dx *= (self.gamma.value * inv_std)[ch]
+        dx *= (self.gamma.value[rows] * inv_std)[ch]
         return dx
 
 
 def _mean_of_sum(total: np.ndarray, count: int) -> np.ndarray:
-    """total / count in place, rounded as np.mean rounds it: it divides by an intp."""
-    return np.true_divide(total, np.intp(count), out=total, casting="unsafe")
+    """total / count in place, rounded as np.mean rounds it (a float32 divide below 2**24)."""
+    return np.divide(total, np.intp(count) if count >> 24 else count, out=total, casting="unsafe")
 
 
 class StatPool(Layer):
     """Statistical pooling: concat per-channel mean and population std over frames.
 
-    (channels, batch, frames) -> (batch, 2 * channels); std uses
-    sqrt(mean((x - mu)^2) + eps) with eps = 1e-9 so silence stays finite.
+    (channels, batch, frames) -> (batch, 2 * channels); std = sqrt(mean((x - mu)^2) + eps),
+    eps = 1e-9, finite on silence. Train mode goes by row_blocks; backward's out=x writes dX over x.
     """
 
     def __init__(self, eps=1e-9):
@@ -333,20 +346,25 @@ class StatPool(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeMismatch(f"expected (channels, batch, frames), got {x.shape}")
-        mu = _mean_of_sum(x.sum(axis=2), x.shape[2])
-        sq = x - mu[:, :, None]
-        std = np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), x.shape[2]) + self.eps)
+        t, stats = x.shape[2], []
+        for r in row_blocks(x) if train else [slice(None)]:
+            mu = _mean_of_sum(x[r].sum(axis=2), t)
+            sq = x[r] - mu[:, :, None]
+            stats += mu, np.sqrt(_mean_of_sum(np.square(sq, out=sq).sum(axis=2), t) + self.eps)
+        stats = np.concatenate(stats[::2] + stats[1::2])  # every block's mu, then every std
         if train:
-            self._cache = (mu, std)
-        return np.concatenate([mu, std]).T.copy()  # C-ordered, as the heads' GEMMs read it
+            self._cache = (stats[: len(x)], stats[len(x) :])
+        return stats.T.copy()  # C-ordered, as the heads' GEMMs read it
 
-    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         (mu, std), self._cache = self._cache, None
         c, t = len(x), x.shape[2]
-        dx = x - mu[:, :, None]  # x - mu again, rounded as forward rounded it
-        dx *= dy[:, c:].T[:, :, None]
-        dx /= t * std[:, :, None]
-        dx += dy[:, :c].T[:, :, None] / t
+        dx = np.empty_like(x) if out is None else out
+        for r in row_blocks(x):
+            d = np.subtract(x[r], mu[r, :, None], out=dx[r])  # x - mu as forward rounded it
+            d *= dy[:, c:].T[r, :, None]
+            d /= t * std[r, :, None]
+            d += dy[:, :c].T[r, :, None] / t
         return dx
 
 

@@ -427,6 +427,16 @@ class TestExitCodes:
         assert main(["probe", "--embeddings", str(path)]) == 2
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--steps", "0"], ["--steps", "-3"]],
+                             ids=["lr_nan", "steps_0", "steps_-3"])
+    def test_invalid_probe_settings(self, tmp_path, capsys, flags):
+        path = tmp_path / "emb.csv"
+        path.write_text("clip_id,podcast_id,class,e0\n" + "".join(
+            f"c{i},pod{i % 2},Fluent,{i}\n" for i in range(4)))
+        assert main(["probe", "--embeddings", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert "accuracy" not in captured.out and "probe needs steps >= 1" in captured.err
+
     def test_eval_names_clips_too_short_for_the_encoder(self, tmp_path, capsys):
         records = generate_synthetic(SyntheticConfig(
             n_podcasts=3, clips_per_class=4, frames=30, seed=0))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_tiny_arch
 from stutterkit.data import ClipRecord, SyntheticConfig, generate_synthetic
-from stutterkit.errors import EmptyMatrix, LengthMismatch, TooFewPodcasts
+from stutterkit.errors import EmptyMatrix, InvalidConfig, LengthMismatch, TooFewPodcasts
 from stutterkit.evaluate import (
     TABLE_COLUMNS,
     confusion,
@@ -279,3 +279,14 @@ class TestSpeakerProbe:
         # two speakers with one sample each: nothing can be held out
         with pytest.raises(TooFewPodcasts):
             speaker_probe(np.zeros((2, 2)), ["p0", "p1"])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": 0}, {"steps": -3}, {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
+        {"lr": -1e-2}, {"heldout_fraction": float("nan")}, {"heldout_fraction": -0.1},
+        {"heldout_fraction": 1.5},
+    ], ids=["steps_0", "steps_-3", "lr_nan", "lr_inf", "lr_0", "lr_negative",
+            "heldout_nan", "heldout_negative", "heldout_above_1"])
+    def test_rejects_invalid_settings(self, kwargs):
+        ids = [f"pod{i % 2}" for i in range(8)]
+        with pytest.raises(InvalidConfig):
+            speaker_probe(np.random.default_rng(0).normal(size=(8, 3)), ids, **kwargs)

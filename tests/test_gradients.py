@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gradcases as gc
+from stutterkit import nn
 
 ALL_CASES = gc.LAYER_CASES + gc.MODEL_CASES
 CASE_IDS = [name for name, _, _ in ALL_CASES]
@@ -54,3 +55,18 @@ def test_reports_name_every_parameter():
     case = gc.FullModelMtlCase(np.float64)
     assert set(report.max_rel_error) == set(case.params())
     assert all(v >= 0.0 for v in report.max_rel_error.values())
+
+
+@pytest.mark.parametrize("report", [gc.native_f64_report, gc.paired_f32_report],
+                         ids=["f64", "f32"])
+def test_full_model_by_one_row_blocks(monkeypatch, report):
+    """The full mtl model with every train-mode ReLU, batch norm and pool run one channel
+    row at a time, and every TDNN dX product ceil(batch / K) clips at a time, at the
+    suite's tolerances."""
+    row_blocks, counts = nn.row_blocks, []
+    monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", 1)
+    monkeypatch.setattr(nn, "row_blocks",
+                        lambda y: counts.append(len(row_blocks(y))) or row_blocks(y))
+    result = report(gc.FullModelMtlCase)
+    assert result.passed, f"worst={result.worst:.3e} (tol {result.tolerance})"
+    assert counts and set(counts) == {3}  # grad_arch's three channels, a block each

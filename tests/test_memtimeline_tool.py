@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,12 @@ def test_small_step_prints_each_call_in_order_for_both_orders():
                         "tracemalloc MB")
     orders = [i for i, line in enumerate(lines) if line.startswith("bn_before_relu=")]
     assert [lines[i] for i in orders] == ["bn_before_relu=False", "bn_before_relu=True"]
+    for line, bn_first in zip(lines[1:3], ("False", "True")):  # before the first order
+        usage = re.fullmatch(r"# untraced step \(getrusage\): bn_before_relu=(\w+) "
+                             r"(\d+) minor faults, (\d+\.\d{3}) CPU s", line)
+        assert usage and usage.group(1) == bn_first, line
+        assert float(usage.group(3)) >= 0
+    assert orders[0] == 3
     for bn_first, start, stop in zip((False, True), orders, orders[1:] + [len(lines)]):
         header, *rows, step = lines[start + 1 : stop]
         assert header.split() == ["call", "current", "peak"]
@@ -33,6 +40,20 @@ def test_small_step_prints_each_call_in_order_for_both_orders():
         assert [c for c in calls[forward:] if c.endswith("relu.forward")] == [
             f"l{i}.relu.forward" for i in range(5, 0, -1) if bn_first]
         assert step.split()[0] == "step" and float(step.split()[1]) > 0
+
+
+def test_block_calls_fold_into_one_row_per_run():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        from memtimeline import fold_blocks
+    finally:
+        sys.path.pop(0)
+    rows = [("l2.tdnn.forward", 5, 6), ("l2.relu.forward", 5, 7), ("l2.bn.forward", 6, 8),
+            ("l2.relu.forward", 6, 9), ("l2.bn.forward", 4, 7), ("pool.forward", 4, 5),
+            ("l2.bn.forward", 3, 4)]
+    assert fold_blocks(rows) == [
+        ("l2.tdnn.forward", 5, 6), ("l2.relu.forward", 6, 9), ("l2.bn.forward", 4, 8),
+        ("pool.forward", 4, 5), ("l2.bn.forward", 3, 4)]
 
 
 def test_unknown_stage_is_a_usage_error():

@@ -1,5 +1,6 @@
 """Model assembly: architecture validation, naming, inference rule, state."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,8 @@ from stutterkit.data import SyntheticConfig, generate_synthetic, split_within_po
 from stutterkit.errors import InputTooShort, InvalidArch, ShapeMismatch
 from conftest import make_tiny_arch, predict
 from oracles import per_clip_encode
+from stutterkit import model as model_module
+from stutterkit import nn
 from stutterkit.model import (
     CLASS_INITIALS,
     CLASS_NAMES,
@@ -233,6 +236,105 @@ class TestEvalGroups:
         x = rng.normal(size=(10, arch.n_mfcc, 20)).astype(np.float32)
         monkeypatch.setattr("stutterkit.model.EVAL_GROUP_BYTES", group * 32 * 20 * 4)
         assert model.encode(x).tobytes() == per_clip_encode(model, x).tobytes()
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestTrainBlocks:
+    """Train-mode ReLU, batch norm and pooling by blocks of channel rows keep every bit.
+
+    A TRAIN_BLOCK_BYTES of three 144-byte rows splits (7, 4, 9) float32 activations into
+    blocks of 3, 3 and 1 rows; the default budget runs them as one block.
+    """
+
+    BUDGET = 3 * 4 * 9 * 4
+
+    def unit_and_batch(self, bn_before_relu):
+        rng = np.random.default_rng(11)
+        unit = model_module._ReluBatchNorm(7, bn_before_relu, np.float32)
+        unit.bn.gamma.value[...] = rng.uniform(0.5, 1.5, 7)
+        unit.bn.beta.value[...] = rng.uniform(-0.5, 0.5, 7)
+        unit.bn.running_mean[...] = rng.normal(0.0, 0.3, 7)
+        unit.bn.running_var[...] = rng.uniform(0.5, 2.0, 7)
+        y = rng.normal(0.2, 1.0, size=(7, 4, 9)).astype(np.float32)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        return unit, y, dy
+
+    @pytest.mark.parametrize("bn_before_relu", [False, True])
+    def test_unit_by_blocks_matches_one_block(self, monkeypatch, bn_before_relu):
+        one, y, dy = self.unit_and_batch(bn_before_relu)
+        blocked = copy.deepcopy(one)
+        want = one.activate(y.copy(), True)
+        assert one._blocks is None
+        monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", self.BUDGET)
+        given = y.copy()
+        got = blocked.activate(given, True)
+        assert got is given and [r for r, *_ in blocked._blocks[1]] == nn.row_blocks(y)
+        assert len(blocked._blocks[1]) == 3
+        assert bits(got) == bits(want)
+        assert bits(blocked.output()) == bits(one.output())
+        assert bits(blocked.backward(dy.copy())) == bits(one.backward(dy.copy()))
+        assert blocked._blocks is None and blocked.bn._cache is None
+        assert blocked.relu._cache is None
+        for name in ("gamma", "beta"):
+            assert bits(getattr(blocked.bn, name).grad) == bits(getattr(one.bn, name).grad)
+        for name, buf in one.bn.buffers().items():
+            assert bits(blocked.bn.buffers()[name]) == bits(buf), name
+
+    def test_release_drops_every_block(self, monkeypatch):
+        unit, y, _ = self.unit_and_batch(False)
+        monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", self.BUDGET)
+        unit.activate(y, True)
+        unit.release()
+        assert unit._blocks is None and unit.bn._cache is None and unit.relu._cache is None
+
+    def test_statpool_by_blocks_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.normal(0.3, 1.0, size=(7, 4, 9)).astype(np.float32)
+        dz = rng.normal(size=(4, 14)).astype(np.float32)
+        one, blocked = nn.StatPool(), nn.StatPool()
+        want = one.forward(x, True), one.backward(dz, x)
+        monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", self.BUDGET)
+        row_blocks, counts = nn.row_blocks, []
+        monkeypatch.setattr(nn, "row_blocks", lambda y: counts.append(len(row_blocks(y))) or
+                            row_blocks(y))
+        assert bits(blocked.forward(x, True)) == bits(want[0])
+        assert bits(blocked.backward(dz, x)) == bits(want[1])
+        given = x.copy()
+        blocked.forward(given, True)
+        assert blocked.backward(dz, given, out=given) is given and bits(given) == bits(want[1])
+        assert counts == [3, 3, 3, 3]
+        blocked.forward(x, False)  # eval mode: one block, no call
+        assert counts == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("bn_before_relu", [False, True])
+    def test_train_step_by_blocks_matches_one_block(self, monkeypatch, bn_before_relu):
+        """A whole train-mode forward and backward: every unit, the pool and the TDNN dX
+        products split into blocks (a 640-byte budget), against one block each."""
+        arch = ArchConfig(n_podcasts=3, n_mfcc=5, encoder_channels=(6, 7, 7, 5, 6),
+                          dropout=0.0, bn_before_relu=bn_before_relu)
+        x = np.random.default_rng(13).normal(size=(4, 5, 24)).astype(np.float32)
+        row_blocks, counts = nn.row_blocks, []
+        monkeypatch.setattr(nn, "row_blocks",
+                            lambda y: counts.append(len(row_blocks(y))) or row_blocks(y))
+        runs = []
+        for budget in (10**9, 4 * 20 * 4 * 2):  # one block; two rows of l1's output a block
+            monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", budget)
+            counts.clear()
+            model = build_model(arch, seed=5)
+            outputs = model.forward(x, train=frozenset(PARTITIONS), grl_lambda=0.3)
+            model.backward(*(logits / len(x) for logits in outputs[1:]))  # any head gradients
+            runs.append((outputs, model, list(counts)))
+        assert runs[0][2] == [1, 1]  # the pool's forward and backward; units skip the call
+        assert runs[1][2] == [3, 4, 2, 2, 2, 2, 2]  # units l1-l5, the pool's forward, backward
+        (want, one, _), (got, blocked, _) = runs
+        for a, b in zip(got, want):
+            assert bits(a) == bits(b)
+        assert bits(blocked.arena.grad) == bits(one.arena.grad)
+        for name, buf in one.named_buffers().items():
+            assert bits(blocked.named_buffers()[name]) == bits(buf), name
 
 
 class TestTwoBranchRule:

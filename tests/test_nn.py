@@ -67,6 +67,27 @@ class TestTdnn:
                 manual += float(w[0, :, k] @ x[:, 0, t_out + off + 2])
             assert abs(out[0, 0, t_out] - manual) < 1e-12
 
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default", "one_byte"])
+    @pytest.mark.parametrize("c_in, c_out, offsets, b, t", [
+        (24, 16, (-2, -1, 0, 1, 2), 16, 40),  # a 276 KB product: 4 GEMMs of 4 clips
+        (20, 32, (-3, 0, 3), 7, 25),  # 32 KB: one GEMM, or 3 + 3 + 1 clips at one byte
+    ])
+    def test_dx_equals_a_per_offset_scatter(self, rng, monkeypatch, budget, c_in, c_out,
+                                            offsets, b, t):
+        """dX by one GEMM over every offset, for all clips or a chunk of them, keeps the
+        bits of K GEMMs, W_k^T dy each, scatter-added offset by offset."""
+        if budget is not None:
+            monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", budget)
+        layer = nn.TdnnLayer(c_in, c_out, offsets, rng)
+        x = rng.normal(size=(c_in, b, t)).astype(np.float32)
+        dy = rng.normal(size=layer.forward(x, train=True).shape).astype(np.float32)
+        w = np.ascontiguousarray(layer.weight.value.transpose(2, 0, 1))  # (K, C_out, C_in)
+        t_out = dy.shape[2]
+        want = np.zeros_like(x)
+        for k, s in enumerate(layer.shifts):
+            want[:, :, s : s + t_out] += (w[k].T @ dy.reshape(c_out, -1)).reshape(-1, b, t_out)
+        assert bits(layer.backward(dy, x)) == bits(want)
+
     def test_too_few_frames(self, rng):
         layer = nn.TdnnLayer(3, 4, (-3, 0, 3), rng)
         with pytest.raises(InputTooShort):
@@ -214,6 +235,31 @@ class TestChannelSums:
             assert np.all(np.abs(got - want) <= bound * (1 + 1e-6))  # second-order terms
 
 
+class TestRowBlocks:
+    def test_budget_splits_rows_with_a_shorter_last_block(self, monkeypatch):
+        y = np.zeros((7, 4, 9), np.float32)  # 144 bytes a row
+
+        def rows():
+            return [range(7)[r] for r in nn.row_blocks(y)]
+
+        assert rows() == [range(7)]  # the default budget: one block
+        monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", 3 * 144)
+        assert rows() == [range(0, 3), range(3, 6), range(6, 7)]
+        monkeypatch.setattr(nn, "TRAIN_BLOCK_BYTES", 1)
+        assert rows() == [range(i, i + 1) for i in range(7)]  # a row at least
+
+
+class TestMeanOfSum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_dividing_by_an_intp(self, rng, dtype):
+        """Below 2**24 a Python int divisor (the dtype's own loop) rounds as np.intp's float64
+        loop does; at and above 2**24 the intp form itself runs."""
+        total = (rng.normal(size=4096) * 10.0 ** rng.uniform(-30, 30, 4096)).astype(dtype)
+        for count in (2, 3, 7, 10, 96, 640, 9472, 123457, 2**24 - 1, 2**24, 2**24 + 3, 10**9):
+            want = np.true_divide(total, np.intp(count), out=total.copy(), casting="unsafe")
+            assert bits(nn._mean_of_sum(total.copy(), count)) == bits(want), count
+
+
 class TestLinear:
     def test_affine_map(self, rng):
         layer = nn.Linear(3, 2, rng, dtype=np.float64)
@@ -321,7 +367,8 @@ class TestBatchNorm:
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(32, 16), (16, 4, 9)])
     def test_out_takes_the_same_bits(self, rng, shape, train):
-        """With out=x eval writes its output into x; train mode leaves x alone. No bit moves."""
+        """With out=x both modes write their output into x, train mode once it has built
+        x-hat from x. No bit moves."""
         x = rng.normal(3.0, 2.0, size=shape).astype(np.float32)
         dy = rng.normal(size=shape).astype(np.float32)
         bn = self._with_state(rng, channels(shape))
@@ -329,8 +376,7 @@ class TestBatchNorm:
         want = bn.forward(x, train)
         buf = x.copy()
         got = into.forward(buf, train, out=buf)
-        assert bits(got) == bits(want) and (got is buf) != train
-        assert not train or bits(buf) == bits(x)
+        assert bits(got) == bits(want) and got is buf
         assert bits(into.running_mean) == bits(bn.running_mean)
         assert bits(into.running_var) == bits(bn.running_var)
         if train:

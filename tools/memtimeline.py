@@ -14,14 +14,20 @@ and an Adam step. The defaults are the paper scale
 (batch 32, 512 channels, 300 frames). Each batch-norm order runs in turn.
 
 One untraced step first lets numpy and Adam make their first-call
-allocations. The last row of each order, `step`, is the peak tracemalloc
-reads over a second step. A third step prints one row per forward or
-backward call, in call order, of each encoder block's TDNN, ReLU and batch
-norm, of the pool and of each head as a whole, then the optimizer's step. A
-row gives the memory tracemalloc traces when the call returns and the most it
-traced during the call, in MB (10^6 bytes). What runs between two rows, such
-as backward rebuilding a block's output, shows in the next row's columns
-(ReLU rows among the backward ones are that rebuild, with batch norm first).
+allocations. A second untraced step is read with getrusage on this process:
+the lines under the title give each order's minor page faults and CPU
+seconds (user plus system) for that step. The last row of each order, `step`,
+is the peak tracemalloc reads over a third step. A fourth step prints one row
+per forward or backward call, in call order, of each encoder block's TDNN,
+ReLU and batch norm, of the pool and of each head as a whole, then the
+optimizer's step. A row gives the memory tracemalloc traces when the call
+returns and the most it traced during the call, in MB (10^6 bytes). A layer
+wider than nn.TRAIN_BLOCK_BYTES runs ReLU and batch norm once per block of
+channel rows; those calls fold into one row per call and run of one block's
+rows, which reads as the last of them returned and the most any of them
+traced. What runs between two rows, such as backward rebuilding a block's
+output, shows in the next row's columns (ReLU rows among the backward ones
+are that rebuild, with batch norm first).
 The wrapper that takes these readings holds the call's arguments until it
 returns, so a call that frees an argument early (TdnnLayer.backward its given
 input, say) reads up to that argument's size above an unwrapped call; the
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tracemalloc
 
@@ -67,6 +74,23 @@ def instrument(model, opt, rows):
                 setattr(obj, method, wrap(f"{label}.{method}", getattr(obj, method)))
 
 
+def fold_blocks(rows):
+    """rows with each call repeated within a run of one block's rows (l3.*, say) folded into
+    its first row: current as the last call returned, the largest peak."""
+    out = []
+    for label, current, peak in rows:
+        block = label.split(".")[0]
+        run = len(out)
+        while run and out[run - 1][0].split(".")[0] == block:
+            run -= 1
+        same = [i for i in range(run, len(out)) if out[i][0] == label]
+        if same:
+            out[same[0]] = (label, current, max(peak, out[same[0]][2]))
+        else:
+            out.append((label, current, peak))
+    return out
+
+
 def step(model, opt, x, y, ys, stage):
     import numpy as np
     from stutterkit.training import STAGES, train_step
@@ -75,7 +99,7 @@ def step(model, opt, x, y, ys, stage):
                np.random.default_rng(0))
 
 
-def timeline(args, bn_before_relu) -> list[str]:
+def timeline(args, bn_before_relu) -> tuple[str, list[str]]:
     import numpy as np
     from stutterkit import nn
     from stutterkit.model import ArchConfig, build_model
@@ -89,6 +113,12 @@ def timeline(args, bn_before_relu) -> list[str]:
     y = np.arange(args.batch) % 5
     ys = np.arange(args.batch) % arch.n_podcasts
     step(model, opt, x, y, ys, args.stage)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    step(model, opt, x, y, ys, args.stage)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    usage = (f"# untraced step (getrusage): bn_before_relu={bn_before_relu} "
+             f"{after.ru_minflt - before.ru_minflt} minor faults, {cpu:.3f} CPU s")
     tracemalloc.start()
     try:
         step(model, opt, x, y, ys, args.stage)
@@ -104,9 +134,9 @@ def timeline(args, bn_before_relu) -> list[str]:
         tracemalloc.stop()
     lines = [f"bn_before_relu={bn_before_relu}", f"  {'call':<22}{'current':>10}{'peak':>10}"]
     lines += [f"  {label:<22}{current / MB:>10.2f}{during / MB:>10.2f}"
-              for label, current, during in rows]
+              for label, current, during in fold_blocks(rows)]
     lines.append(f"  {'step':<22}{'':>10}{peak / MB:>10.2f}")
-    return lines
+    return usage, lines
 
 
 def main(argv=None) -> int:
@@ -125,8 +155,10 @@ def main(argv=None) -> int:
         parser.error(f"--stage must be one of {', '.join(STAGES)}")
     print(f"# one {args.stage} step at lambda {LAMBDA}: batch {args.batch}, "
           f"{args.channels} channels, {args.frames} frames; tracemalloc MB")
-    for bn_before_relu in (False, True):
-        print("\n".join(timeline(args, bn_before_relu)))
+    runs = [timeline(args, bn_before_relu) for bn_before_relu in (False, True)]
+    print("\n".join(usage for usage, _ in runs))
+    for _, lines in runs:
+        print("\n".join(lines))
     return 0
 
 
